@@ -46,12 +46,7 @@ from .induction import (
     route_case,
 )
 from .monomials import (
-    BiExponent,
-    SplitExponent,
-    basis_bijection,
-    bigraded_basis,
     exponent_vectors,
-    split_basis,
     split_to_bigraded,
 )
 from .numerology import (
@@ -73,7 +68,6 @@ from .terracini import (
     SecantReport,
     SegreVeroneseSpec,
     dimension_profile,
-    double_point_conditions,
     expected_secant_dimension,
     secant_dimension,
     tangent_matrix,

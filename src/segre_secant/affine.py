@@ -6,13 +6,14 @@ same dimension as the degree-(a+b) part of the ideal of the scheme
     b*H1 + a*H2 + 2P_1 + ... + 2P_s   in P^(n+m),
 
 where H1, H2 are the coordinate subspaces fixed in ``monomials`` and the
-P_i are generic points.  Restricting to the monomials of ``split_basis``
-(which span the degree-(a+b) part of the ideal of b*H1 + a*H2), each double
-point contributes the n+m+1 partial-derivative rows of the evaluation at
-the point (the value row is redundant by the Euler relation), and each
-optional reduced point contributes one plain evaluation row.  Then
+P_i are generic points.  Restricting to the split basis of monomials
+(``split_exponent_array``, which spans the degree-(a+b) part of the ideal
+of b*H1 + a*H2), each double point contributes the n+m+1 partial-derivative
+rows of the evaluation at the point (the value row is redundant by the
+Euler relation), and each optional reduced point contributes one plain
+evaluation row.  Then
 
-    ideal dimension = |split_basis| - rank(conditions)
+    ideal dimension = |split basis| - rank(conditions)
     dim sigma_s     = N - ideal dimension,
 
 an independent second computation path for every secant dimension.
@@ -30,21 +31,20 @@ from math import comb
 import numpy as np
 
 from .field import ConditionMatrix, PrimeField, SizingError, sample_point
-from .monomials import split_exponent_array
+from .monomials import gradient_rows, split_exponent_array
 from .terracini import (
     DEFAULT_MEMORY_BUDGET,
     SecantReport,
     SegreVeroneseSpec,
-    _METHOD_AFFINE,
-    _monomial_values,
-    _partial_values,
-    _power_table,
     expected_secant_dimension,
     trial_rng,
 )
 
 #: Rejection-sampling retry cap for points landing on H1 or H2.
 MAX_POINT_RETRIES = 16
+
+#: method_id of the affine-reduction stream in trial_rng's spawn key.
+_METHOD_AFFINE = 1
 
 
 class GenericityError(RuntimeError):
@@ -105,29 +105,23 @@ def condition_matrix(
     """Vanishing conditions on split-basis coefficient vectors.
 
     n+m+1 derivative rows per double point, then one evaluation row per
-    reduced point; columns follow ``split_basis`` order.
+    reduced point; columns follow ``split_exponent_array`` order.
     """
     if field is None:
         field = PrimeField()
     gammas = split_exponent_array(scheme.embedding)
-    p = field.p
     nvars = scheme.n + scheme.m + 1
     rows = []
     for point in double_points:
         point = np.asarray(point, dtype=np.int64)
         if point.shape != (nvars,):
             raise ValueError(f"double point must have {nvars} coordinates, got {point.shape}")
-        table = _power_table(point % p, int(gammas.max()), p)
-        block = np.empty((nvars, gammas.shape[0]), dtype=np.int64)
-        for i in range(nvars):
-            block[i] = _partial_values(gammas, table, i, p)
-        rows.append(block)
+        rows.append(gradient_rows(gammas, point, field.p)[1])
     for point in simple_points:
         point = np.asarray(point, dtype=np.int64)
         if point.shape != (nvars,):
             raise ValueError(f"simple point must have {nvars} coordinates, got {point.shape}")
-        table = _power_table(point % p, int(gammas.max()), p)
-        rows.append(_monomial_values(gammas, table, p)[None, :])
+        rows.append(gradient_rows(gammas, point, field.p)[0][None, :])
     if not rows:
         entries = np.zeros((0, gammas.shape[0]), dtype=np.int64)
     else:

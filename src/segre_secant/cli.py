@@ -13,10 +13,10 @@ numerology  the counting invariants q, r, q* (and e, e* when m = 1)
 
 Conventions: data goes to stdout (JSON by default, CSV on request with a
 fixed column set), diagnostics to stderr.  Exit code 0 means success and
-agreement, 1 a usage or sizing error, 2 a mathematical discrepancy.  The
-seed comes from --seed, falling back to the SEGRE_SECANT_SEED environment
-variable, then 0; identical seed, primes and flags produce byte-identical
-output regardless of --jobs.
+agreement, 1 a usage or sizing error (also when raised inside a verify
+cell), 2 a mathematical discrepancy.  The seed comes from --seed, falling
+back to the SEGRE_SECANT_SEED environment variable, then 0; identical
+seed, primes and flags produce byte-identical output regardless of --jobs.
 """
 
 from __future__ import annotations
@@ -236,6 +236,12 @@ def _verify_cell(job) -> dict:
         return {"cell": (n, m, a, b), "error": str(exc)}
 
 
+def _available_cores() -> int:
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def run_verify(config: SweepConfig) -> tuple[dict, list[dict], int]:
     """Execute the sweep; returns (payload, csv rows, exit code)."""
     jobs = [
@@ -246,8 +252,11 @@ def run_verify(config: SweepConfig) -> tuple[dict, list[dict], int]:
         for a in config.a_range
         for b in config.b_range
     ]
-    if config.jobs > 1 and len(jobs) > 1:
-        with ProcessPoolExecutor(max_workers=config.jobs) as pool:
+    # A forking pool starts all its workers at once, so more than there are
+    # cells or cores would only cost processes.
+    workers = min(config.jobs, len(jobs), _available_cores())
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_verify_cell, jobs))
     else:
         results = [_verify_cell(job) for job in jobs]
@@ -259,7 +268,8 @@ def run_verify(config: SweepConfig) -> tuple[dict, list[dict], int]:
         else:
             rows.extend(result["rows"])
     agreements = sum(1 for row in rows if row["agree"])
-    discrepancies = len(rows) - agreements + len(errors)
+    disagreements = len(rows) - agreements
+    discrepancies = disagreements + len(errors)
     payload = {
         "schema": SCHEMA,
         "rng": RNG_DESCRIPTION,
@@ -283,7 +293,12 @@ def run_verify(config: SweepConfig) -> tuple[dict, list[dict], int]:
             "discrepancies": discrepancies,
         },
     }
-    exit_code = EXIT_OK if discrepancies == 0 else EXIT_DISCREPANCY
+    if disagreements:
+        exit_code = EXIT_DISCREPANCY
+    elif errors:
+        exit_code = EXIT_USAGE
+    else:
+        exit_code = EXIT_OK
     return payload, rows, exit_code
 
 
@@ -326,11 +341,6 @@ def _fraction_str(value: Fraction | None) -> str:
 
 
 def cmd_replay(args) -> int:
-    if args.n_max < 3 or args.a_max < 4 or args.b_max < 1:
-        raise ValueError(
-            f"the inductive region starts at n = 3, a = 4, b = 1; "
-            f"got bounds ({args.n_max}, {args.a_max}, {args.b_max})"
-        )
     report = replay_main_theorem(args.n_max, args.a_max, args.b_max)
     cells = [
         {
@@ -376,8 +386,6 @@ def cmd_replay(args) -> int:
 # grassmann
 
 def cmd_grassmann(args) -> int:
-    if args.n_max < 2 or args.a_max < 2:
-        raise ValueError(f"bounds must be >= 2, got ({args.n_max}, {args.a_max})")
     report = check_corollary(args.n_max, args.a_max)
     cells = [
         {

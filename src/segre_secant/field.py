@@ -6,8 +6,10 @@ The modulus is restricted to p < 2**31 so that a product of two reduced
 elements stays below 2**62 and a subtraction stays above -2**62: single
 multiply-then-reduce steps are safe in plain int64.  The only place where
 sums of products occur (the block reduction inside RankAccumulator) splits
-one factor into 16-bit limbs first, which keeps every accumulated dot
-product below 2**58 for matrices up to 2**10 columns.
+one factor into 16-bit limbs first: a dot product over r basis rows then
+stays below r * 2**47, and the recombined sum below (r + 1) * 2**47, which
+fits int64 while the basis has fewer than 2**16 rows.  RankAccumulator
+enforces that bound (MAX_BASIS_ROWS).
 """
 
 from __future__ import annotations
@@ -21,6 +23,9 @@ DEFAULT_PRIME = 2147483647
 
 #: Verification modulus of the same width, used to cross-check ranks.
 SECOND_PRIME = 2147483629
+
+#: Most rows a RankAccumulator basis may hold with exact limb products.
+MAX_BASIS_ROWS = 2**16 - 1
 
 # Witness set making Miller-Rabin deterministic for all n < 3.3 * 10**24.
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -188,6 +193,11 @@ class RankAccumulator:
         return self._buf[: self._nrows]
 
     def _append_pivot(self, row: np.ndarray, col: int) -> None:
+        if self._nrows >= MAX_BASIS_ROWS:
+            raise SizingError(
+                f"rank accumulator basis would exceed {MAX_BASIS_ROWS} rows, "
+                f"the limit for exact int64 limb products"
+            )
         p = self.field.p
         if self._nrows:
             stale = self._buf[: self._nrows, col]

@@ -21,22 +21,25 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import comb
+from types import SimpleNamespace
 
 import numpy as np
 
 from .field import ConditionMatrix, PrimeField, RankAccumulator, sample_point
-from .monomials import exponent_vectors
+from .monomials import exponent_vectors, gradient_rows
 from .numerology import classify
 from .terracini import (
     DEFAULT_MEMORY_BUDGET,
     SegreVeroneseSpec,
-    _power_table,
-    _partial_values,
     secant_dimension,
+    trial_rng,
 )
 
 TAG_CLOSED_FORM = "closed-form"
 TAG_UNCLASSIFIED = "unclassified"
+
+#: method_id of the plain Veronese stream in trial_rng's spawn key.
+_METHOD_VERONESE = 2
 
 
 @dataclass(frozen=True)
@@ -95,17 +98,12 @@ def veronese_tangent_matrix(n: int, a: int, points, field: PrimeField) -> Condit
     generic point (the Euler relation only ties them to the value row).
     """
     exps = exponent_vectors(a, n + 1)
-    p = field.p
     blocks = []
     for x in points:
         x = np.asarray(x, dtype=np.int64)
         if x.shape != (n + 1,):
             raise ValueError(f"point must have {n + 1} coordinates, got {x.shape}")
-        table = _power_table(x % p, a, p)
-        block = np.empty((n + 1, exps.shape[0]), dtype=np.int64)
-        for i in range(n + 1):
-            block[i] = _partial_values(exps, table, i, p)
-        blocks.append(block)
+        blocks.append(gradient_rows(exps, x, field.p)[1])
     return ConditionMatrix(np.vstack(blocks), field)
 
 
@@ -123,19 +121,16 @@ def veronese_secant_dimension(
     if field is None:
         field = PrimeField()
     exps = exponent_vectors(a, n + 1)
+    # The Veronese has no second factor: m = b = 0 in the spawn key.
+    key_spec = SimpleNamespace(n=n, m=0, a=a, b=0)
     best = -1
     for trial in range(trials):
-        key = (n, 0, a, 0, trial, field.p, 2)
-        rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=key))
+        rng = trial_rng(key_spec, seed, trial, field.p, _METHOD_VERONESE)
         acc = RankAccumulator(exps.shape[0], field)
         rank = 0
         for _ in range(s):
             x = sample_point(n, field, rng)
-            table = _power_table(x, a, field.p)
-            block = np.empty((n + 1, exps.shape[0]), dtype=np.int64)
-            for i in range(n + 1):
-                block[i] = _partial_values(exps, table, i, field.p)
-            rank = acc.absorb(block)
+            rank = acc.absorb(gradient_rows(exps, x, field.p)[1])
         best = max(best, rank - 1)
     return best
 

@@ -13,15 +13,19 @@ on H2 are exactly those with block degree >= a on {z_0..z_n} and >= b on
 monomial sets have C(n+a, n) * C(m+b, m) elements and correspond under an
 explicit bijection that splits the exponent of z_n between the two factors.
 
-All enumerations use descending lexicographic order on exponent tuples and
-are stable across runs; every matrix in the package orders its columns this
-way.
+Every basis is an int64 array with one exponent vector per row.  All
+enumerations use descending lexicographic order on exponent tuples and are
+stable across runs; every matrix in the package orders its columns this
+way, bigraded columns alpha-major.
+
+``gradient_rows`` is the one evaluator of monomials and their first
+partial derivatives at a point; the tangent, affine and Veronese condition
+matrices are all assembled from it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from math import comb
+from itertools import chain, combinations
 
 import numpy as np
 
@@ -35,35 +39,43 @@ def exponent_vectors(degree: int, nvars: int) -> np.ndarray:
         raise ValueError(f"need degree >= 0 and nvars >= 1, got ({degree}, {nvars})")
     if nvars == 1:
         return np.array([[degree]], dtype=np.int64)
-    rows = []
-    for first in range(degree, -1, -1):
-        tail = exponent_vectors(degree - first, nvars - 1)
-        head = np.full((tail.shape[0], 1), first, dtype=np.int64)
-        rows.append(np.hstack([head, tail]))
-    return np.vstack(rows)
+    # Stars and bars: nvars - 1 bars among degree + nvars - 1 slots, the gaps
+    # between bars being the exponents.  combinations() yields bar positions
+    # in ascending lex order, which is ascending lex order on exponents.
+    slots = degree + nvars - 1
+    bars = np.fromiter(
+        chain.from_iterable(combinations(range(slots), nvars - 1)), dtype=np.int64
+    ).reshape(-1, nvars - 1)
+    edges = np.hstack([np.full((bars.shape[0], 1), -1), bars, np.full((bars.shape[0], 1), slots)])
+    return np.ascontiguousarray((np.diff(edges, axis=1) - 1)[::-1])
 
 
-@dataclass(frozen=True)
-class BiExponent:
-    """Exponents of a bidegree-(a, b) monomial x^alpha y^beta."""
+def gradient_rows(exps: np.ndarray, point, p: int) -> tuple[np.ndarray, np.ndarray]:
+    """Values and first partials of the monomials z^e at one point, mod p.
 
-    alpha: tuple[int, ...]
-    beta: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if any(e < 0 for e in self.alpha) or any(e < 0 for e in self.beta):
-            raise ValueError(f"negative exponent in {self}")
-
-
-@dataclass(frozen=True)
-class SplitExponent:
-    """Exponent of a degree-(a+b) monomial z^gamma in n + m + 1 variables."""
-
-    gamma: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if any(e < 0 for e in self.gamma):
-            raise ValueError(f"negative exponent in {self}")
+    ``exps`` holds one exponent vector per row and ``point`` one coordinate
+    per column of ``exps``.  Returns ``(values, partials)`` with
+    values[k] = z^exps[k] and partials[i, k] = d(z^exps[k])/dz_i, reduced
+    to [0, p).  Every product is reduced before the next, so p < 2**31
+    keeps each intermediate inside int64.
+    """
+    nmon, nvars = exps.shape
+    z = np.asarray(point, dtype=np.int64) % p
+    table = np.ones((nvars, int(exps.max()) + 1), dtype=np.int64)
+    for k in range(1, table.shape[1]):
+        table[:, k] = table[:, k - 1] * z % p
+    var = np.arange(nvars)[:, None]
+    powers = table[var, exps.T]
+    lowered = exps.T % p * table[var, np.maximum(exps.T - 1, 0)] % p
+    # prefix[i] (suffix[i + 1]) is the product of the factors before (after)
+    # variable i, so partial i is prefix[i] * lowered[i] * suffix[i + 1].
+    prefix = np.ones((nvars + 1, nmon), dtype=np.int64)
+    suffix = np.ones((nvars + 1, nmon), dtype=np.int64)
+    for i in range(nvars):
+        prefix[i + 1] = prefix[i] * powers[i] % p
+        suffix[nvars - 1 - i] = suffix[nvars - i] * powers[nvars - 1 - i] % p
+    partials = prefix[:-1] * lowered % p * suffix[1:] % p
+    return prefix[nvars], partials
 
 
 def _validate(spec) -> tuple[int, int, int, int]:
@@ -73,77 +85,54 @@ def _validate(spec) -> tuple[int, int, int, int]:
     return n, m, a, b
 
 
-def bigraded_basis(spec) -> list[BiExponent]:
-    """Monomial basis of the bidegree-(a, b) graded piece, alpha-major order.
-
-    The list has exactly C(n+a, n) * C(m+b, m) entries; its length minus one
-    is the ambient projective dimension N of the embedding.
-    """
-    n, m, a, b = _validate(spec)
-    alphas = exponent_vectors(a, n + 1)
-    betas = exponent_vectors(b, m + 1)
-    return [
-        BiExponent(tuple(int(e) for e in alpha), tuple(int(e) for e in beta))
-        for alpha in alphas
-        for beta in betas
-    ]
-
-
-def split_basis(spec) -> list[SplitExponent]:
+def split_exponent_array(spec) -> np.ndarray:
     """Degree-(a+b) monomials vanishing to order b on H1 and order a on H2.
 
     These are the gamma with sum(gamma[0..n]) >= a and sum(gamma[n..n+m]) >= b
-    (index n counted in both blocks).  The count always equals that of
-    ``bigraded_basis``.
+    (index n counted in both blocks), one per row in descending lex order.
+    The count always equals C(n+a, n) * C(m+b, m).
     """
-    n, m, a, b = _validate(spec)
-    out = []
-    for gamma in exponent_vectors(a + b, n + m + 1):
-        if gamma[: n + 1].sum() >= a and gamma[n:].sum() >= b:
-            out.append(SplitExponent(tuple(int(e) for e in gamma)))
-    return out
-
-
-def split_exponent_array(spec) -> np.ndarray:
-    """The split basis as an int64 exponent array (same order as split_basis)."""
     n, m, a, b = _validate(spec)
     gammas = exponent_vectors(a + b, n + m + 1)
     keep = (gammas[:, : n + 1].sum(axis=1) >= a) & (gammas[:, n:].sum(axis=1) >= b)
     return gammas[keep]
 
 
-def split_to_bigraded(spec, split: SplitExponent) -> BiExponent:
-    """Image of one split monomial under the dictionary.
+def split_to_bigraded(spec) -> np.ndarray:
+    """The dictionary as an int64 index permutation.
 
-    gamma maps to (alpha, beta) with alpha_i = gamma_i for i < n,
-    beta_j = gamma_(n+j) for j >= 1, and the exponent of the overlap variable
-    z_n splitting as alpha_n = a - sum(gamma[:n]), beta_0 = b - sum(gamma[n+1:]).
-    This is the unique split consistent with both bidegrees.
+    Entry j is the alpha-major bigraded column of split monomial j (row j of
+    ``split_exponent_array``).  gamma maps to (alpha, beta) with
+    alpha_i = gamma_i for i < n, beta_j = gamma_(n+j) for j >= 1, and the
+    exponent of the overlap variable z_n splitting as
+    alpha_n = a - sum(gamma[:n]), beta_0 = b - sum(gamma[n+1:]); this is the
+    unique split consistent with both bidegrees.
+
+    Raises if the map fails to be a bijection onto the bigraded basis (which
+    would indicate a violated invariant, not a user error).
     """
     n, m, a, b = _validate(spec)
-    gamma = split.gamma
-    if len(gamma) != n + m + 1 or sum(gamma) != a + b:
-        raise ValueError(f"{split} is not a degree-{a + b} exponent in {n + m + 1} variables")
-    alpha = gamma[:n] + (a - sum(gamma[:n]),)
-    beta = (b - sum(gamma[n + 1 :]),) + gamma[n + 1 :]
-    return BiExponent(alpha, beta)
-
-
-def basis_bijection(spec) -> dict[SplitExponent, BiExponent]:
-    """The full dictionary between the two bases, as an explicit mapping.
-
-    Raises if the map fails to be a well-defined bijection onto the bigraded
-    basis (which would indicate a violated invariant, not a user error).
-    """
-    n, m, a, b = _validate(spec)
-    mapping = {g: split_to_bigraded(spec, g) for g in split_basis(spec)}
-    images = set(mapping.values())
-    expected = comb(n + a, n) * comb(m + b, m)
-    if len(mapping) != expected or len(images) != expected:
+    gammas = split_exponent_array(spec)
+    images = np.column_stack([
+        gammas[:, :n],
+        a - gammas[:, :n].sum(axis=1),
+        b - gammas[:, n + 1 :].sum(axis=1),
+        gammas[:, n + 1 :],
+    ])
+    alphas = exponent_vectors(a, n + 1)
+    betas = exponent_vectors(b, m + 1)
+    bigraded = np.hstack([
+        np.repeat(alphas, betas.shape[0], axis=0),
+        np.tile(betas, (alphas.shape[0], 1)),
+    ])
+    # Alpha-major order over descending-lex factors is descending lex order
+    # on (alpha, beta), so sorting the images that way must reproduce the
+    # bigraded basis exactly, once each.
+    order = np.lexsort(-images.T[::-1])
+    if not np.array_equal(images[order], bigraded):
         raise AssertionError(
-            f"dictionary is not bijective for ({n}, {m}, {a}, {b}): "
-            f"{len(mapping)} monomials, {len(images)} images, expected {expected}"
+            f"dictionary is not a bijection onto the bigraded basis for ({n}, {m}, {a}, {b})"
         )
-    if images != set(bigraded_basis(spec)):
-        raise AssertionError(f"dictionary image differs from the bigraded basis for ({n}, {m}, {a}, {b})")
-    return mapping
+    perm = np.empty(order.shape[0], dtype=np.int64)
+    perm[order] = np.arange(order.shape[0])
+    return perm

@@ -12,8 +12,9 @@ point redundant, so each block has rank n + m + 1 at a generic point; all
 partials are emitted anyway, which keeps the blocks self-checking.
 
 Dually, the same evaluations read as linear conditions on coefficient
-vectors cut out the bidegree-(a, b) part of the ideal of s double points,
-so rank(tangent rows) + dim kernel = N + 1 on identical point sets.
+vectors cut out the bidegree-(a, b) part of the ideal of s double points:
+``tangent_matrix`` is also that condition matrix, and
+rank(tangent rows) + dim kernel = N + 1 on identical point sets.
 
 Random evaluation over F_p can only underestimate the generic rank
 (semicontinuity), which is why dimensions are aggregated as the max over
@@ -36,6 +37,7 @@ from .field import (
     SizingError,
     sample_point,
 )
+from .monomials import exponent_vectors, gradient_rows
 
 #: Largest number of matrix entries a single dimension query may allocate.
 DEFAULT_MEMORY_BUDGET = 2**25
@@ -50,12 +52,11 @@ RNG_DESCRIPTION = (
 )
 
 _METHOD_TANGENT = 0
-_METHOD_AFFINE = 1
 
 _SCHEMA = "segre-secant/1"
 
 #: Allowed provenance tags for a SecantReport.
-METHODS = ("terracini", "double-points", "affine-reduction")
+METHODS = ("terracini", "affine-reduction")
 
 
 @dataclass(frozen=True)
@@ -144,8 +145,12 @@ class SecantReport:
         )
 
 
-def trial_rng(spec: SegreVeroneseSpec, seed: int, trial: int, prime: int, method_id: int = _METHOD_TANGENT) -> np.random.Generator:
-    """The documented per-trial random stream (see RNG_DESCRIPTION)."""
+def trial_rng(spec, seed: int, trial: int, prime: int, method_id: int = _METHOD_TANGENT) -> np.random.Generator:
+    """The documented per-trial random stream (see RNG_DESCRIPTION).
+
+    ``spec`` is anything with n, m, a, b attributes: a SegreVeroneseSpec, or
+    the m = b = 0 stand-in of the plain Veronese path.
+    """
     key = (spec.n, spec.m, spec.a, spec.b, trial, prime, method_id)
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=key))
 
@@ -159,46 +164,16 @@ def _check_budget(spec: SegreVeroneseSpec, s: int, memory_budget: int) -> None:
         )
 
 
-def _power_table(coords: np.ndarray, max_exp: int, p: int) -> np.ndarray:
-    table = np.ones((coords.shape[0], max_exp + 1), dtype=np.int64)
-    for k in range(1, max_exp + 1):
-        table[:, k] = table[:, k - 1] * coords % p
-    return table
-
-
-def _monomial_values(exps: np.ndarray, table: np.ndarray, p: int) -> np.ndarray:
-    values = np.ones(exps.shape[0], dtype=np.int64)
-    for i in range(exps.shape[1]):
-        values = values * table[i, exps[:, i]] % p
-    return values
-
-
-def _partial_values(exps: np.ndarray, table: np.ndarray, var: int, p: int) -> np.ndarray:
-    """Values of d(monomial)/d(variable var) at the tabulated point."""
-    values = exps[:, var] % p
-    values = values * table[var, np.maximum(exps[:, var] - 1, 0)] % p
-    for i in range(exps.shape[1]):
-        if i != var:
-            values = values * table[i, exps[:, i]] % p
-    return values
-
-
 def tangent_block(alphas: np.ndarray, betas: np.ndarray, x: np.ndarray, y: np.ndarray, p: int) -> np.ndarray:
     """The n+m+2 gradient rows of the monomial map at one point (x, y).
 
     Row order: the n+1 partials in the x variables, then the m+1 partials in
     the y variables.  Columns are alpha-major over (alphas, betas).
     """
-    px = _power_table(x % p, int(alphas.max()), p)
-    py = _power_table(y % p, int(betas.max()), p)
-    mono_x = _monomial_values(alphas, px, p)
-    mono_y = _monomial_values(betas, py, p)
-    rows = np.empty((alphas.shape[1] + betas.shape[1], alphas.shape[0] * betas.shape[0]), dtype=np.int64)
-    for i in range(alphas.shape[1]):
-        rows[i] = np.multiply.outer(_partial_values(alphas, px, i, p), mono_y).ravel() % p
-    for j in range(betas.shape[1]):
-        rows[alphas.shape[1] + j] = np.multiply.outer(mono_x, _partial_values(betas, py, j, p)).ravel() % p
-    return rows
+    vx, dx = gradient_rows(alphas, x, p)
+    vy, dy = gradient_rows(betas, y, p)
+    rows = np.concatenate([dx[:, :, None] * vy[None, None, :], vx[None, :, None] * dy[:, None, :]])
+    return (rows % p).reshape(rows.shape[0], -1)
 
 
 def _validated_points(spec: SegreVeroneseSpec, points) -> list[tuple[np.ndarray, np.ndarray]]:
@@ -226,26 +201,11 @@ def tangent_matrix(spec: SegreVeroneseSpec, points, field: PrimeField) -> Condit
     representatives work: rescaling a point rescales rows and leaves the
     rank unchanged).
     """
-    from .monomials import exponent_vectors
-
     pts = _validated_points(spec, points)
     alphas = exponent_vectors(spec.a, spec.n + 1)
     betas = exponent_vectors(spec.b, spec.m + 1)
     blocks = [tangent_block(alphas, betas, x, y, field.p) for x, y in pts]
     return ConditionMatrix(np.vstack(blocks), field)
-
-
-def double_point_conditions(spec: SegreVeroneseSpec, points, field: PrimeField) -> ConditionMatrix:
-    """Conditions imposed on bidegree-(a, b) coefficient vectors by s double points.
-
-    A form contains the double point at P exactly when all first partials of
-    the form vanish at P (vanishing of the form itself follows from the Euler
-    relations), so the condition rows are the same monomial-derivative
-    evaluations as ``tangent_matrix``.  The kernel of this matrix is the
-    bidegree-(a, b) part of the ideal of the double-point scheme, and the
-    rank is its Hilbert function at (a, b).
-    """
-    return tangent_matrix(spec, points, field)
 
 
 def dimension_profile(
@@ -263,8 +223,6 @@ def dimension_profile(
     block; the returned array is the elementwise max over trials, entry
     s - 1 holding dim sigma_s.
     """
-    from .monomials import exponent_vectors
-
     if s_max < 1:
         raise ValueError(f"s_max must be >= 1, got {s_max}")
     if trials < 1:

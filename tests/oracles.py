@@ -2,8 +2,9 @@
 
 These deliberately avoid the package's own elimination code paths: the
 rational row reduction works over exact fractions with its own pivoting
-logic, and the brute-force monomial enumerators walk plain cartesian
-products.  Slow is fine here; independence is the point.
+logic, the brute-force monomial enumerators walk plain cartesian
+products, and the tangent rows are evaluated in exact Python integers.
+Slow is fine here; independence is the point.
 """
 
 from fractions import Fraction
@@ -63,3 +64,43 @@ def quadric_veronese_secant_dim(n: int, s: int) -> int:
     total = (n + 1) * (n + 2) // 2
     corank = n + 1 - s
     return total - 1 - corank * (corank + 1) // 2
+
+
+def _compositions(total, parts):
+    if parts == 1:
+        return [(total,)]
+    return [(k,) + rest for k in range(total + 1) for rest in _compositions(total - k, parts - 1)]
+
+
+def integer_monomial(exps, coords):
+    """z^exps in exact integer arithmetic."""
+    value = 1
+    for e, c in zip(exps, coords):
+        value *= c**e
+    return value
+
+
+def integer_partial(exps, coords, var):
+    """d(z^exps)/dz_var in exact integer arithmetic."""
+    if exps[var] == 0:
+        return 0
+    lowered = list(exps)
+    lowered[var] -= 1
+    return exps[var] * integer_monomial(lowered, coords)
+
+
+def integer_tangent_matrix(n, m, a, b, points):
+    """Tangent rows of the bidegree-(a, b) map in exact integer arithmetic.
+
+    Columns are alpha-major in ascending lex order (the package uses
+    descending lex, so its columns match these reversed); rows per point are
+    the n + 1 x-partials, then the m + 1 y-partials.
+    """
+    columns = [(alpha, beta) for alpha in _compositions(a, n + 1) for beta in _compositions(b, m + 1)]
+    rows = []
+    for x, y in points:
+        for i in range(n + 1):
+            rows.append([integer_partial(al, x, i) * integer_monomial(be, y) for al, be in columns])
+        for j in range(m + 1):
+            rows.append([integer_monomial(al, x) * integer_partial(be, y, j) for al, be in columns])
+    return rows

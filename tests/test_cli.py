@@ -187,6 +187,56 @@ def test_verify_discrepancy_exit_code(capsys, monkeypatch):
     assert json.loads(out)["summary"]["discrepancies"] > 0
 
 
+def test_verify_cell_error_exits_one(capsys):
+    # A sizing error inside a cell is a usage error, as for dim, not a
+    # mathematical discrepancy; the payload still counts it.
+    code, out, err = run(
+        capsys,
+        ["verify", "--n-min", "1", "--n-max", "1", "--a-min", "1", "--a-max", "1",
+         "--b-min", "1", "--b-max", "1", "--memory-budget", "10", "--jobs", "1"],
+    )
+    assert code == EXIT_USAGE
+    payload = json.loads(out)
+    assert payload["cells"] == []
+    assert payload["summary"]["discrepancies"] == 1
+    assert "budget is 10" in payload["errors"][0]["error"]
+    assert "cell (1, 1, 1, 1): " in err
+
+
+class _SerialPool:
+    """Stands in for ProcessPoolExecutor: records max_workers, maps in-process."""
+
+    sizes: list = []
+
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items):
+        return map(fn, items)
+
+
+def test_verify_jobs_clamped_to_cells_and_cores(capsys, monkeypatch):
+    monkeypatch.setattr("segre_secant.cli.ProcessPoolExecutor", _SerialPool)
+    monkeypatch.setattr(_SerialPool, "sizes", [])
+    grid = ["verify", "--n-min", "1", "--n-max", "2", "--a-min", "1", "--a-max", "2",
+            "--b-min", "1", "--b-max", "1"]  # 4 cells
+    _, serial, _ = run(capsys, grid + ["--jobs", "1"])
+    monkeypatch.setattr("segre_secant.cli._available_cores", lambda: 3)
+    code, clamped, _ = run(capsys, grid + ["--jobs", "100000"])
+    assert code == EXIT_OK and clamped == serial
+    monkeypatch.setattr("segre_secant.cli._available_cores", lambda: 64)
+    run(capsys, grid + ["--jobs", "100000"])
+    monkeypatch.setattr("segre_secant.cli._available_cores", lambda: 1)
+    run(capsys, grid + ["--jobs", "100000"])
+    assert _SerialPool.sizes == [3, 4]
+
+
 def test_dim_discrepancy_exit_code(capsys, monkeypatch):
     from segre_secant.numerology import classify as classify_original
 
@@ -212,6 +262,12 @@ def test_replay_cli_small_grid(capsys):
     assert code == EXIT_OK
     rows = list(csv.reader(io.StringIO(out)))
     assert rows[0][0] == "n" and len(rows) == 2
+    code, out, err = run(capsys, ["replay", "--n-max", "2", "--a-max", "8", "--b-max", "6"])
+    assert code == EXIT_USAGE and out == ""
+    assert err == (
+        "segre-secant: error: the inductive region starts at n = 3, a = 4, b = 1; "
+        "got bounds (2, 8, 6)\n"
+    )
 
 
 def test_grassmann_cli(capsys):
@@ -222,8 +278,9 @@ def test_grassmann_cli(capsys):
     assert payload["defective"] == [
         {"n": 2, "a": 3, "s": 5, "expected_dim": 16, "dim": 15, "defect": 1}
     ]
-    code, _, _ = run(capsys, ["grassmann", "--n-max", "1", "--a-max", "5"])
-    assert code == EXIT_USAGE
+    code, out, err = run(capsys, ["grassmann", "--n-max", "1", "--a-max", "5"])
+    assert code == EXIT_USAGE and out == ""
+    assert err == "segre-secant: error: bounds must be >= 2, got (1, 5)\n"
 
 
 def test_numerology_cli(capsys):

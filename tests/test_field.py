@@ -7,13 +7,14 @@ from segre_secant import (
     ConditionMatrix,
     PrimeField,
     RankAccumulator,
+    SizingError,
     is_prime,
     rank,
     sample_point,
 )
 from segre_secant.terracini import SegreVeroneseSpec, tangent_matrix, trial_rng
 
-from oracles import rational_rank
+from oracles import integer_tangent_matrix, rational_rank
 
 F101 = PrimeField(101)
 
@@ -64,38 +65,6 @@ def test_rank_empty_and_zero():
     assert rank(_matrix(np.zeros((5, 5), dtype=np.int64))) == 0
 
 
-def _compositions(total, parts):
-    if parts == 1:
-        return [(total,)]
-    return [(k,) + rest for k in range(total + 1) for rest in _compositions(total - k, parts - 1)]
-
-
-def _integer_tangent_matrix(n, m, a, b, points):
-    """Tangent rows in exact integer arithmetic; test-local evaluation path."""
-
-    def monomial(exps, coords):
-        value = 1
-        for e, c in zip(exps, coords):
-            value *= c**e
-        return value
-
-    def derivative(exps, coords, var):
-        if exps[var] == 0:
-            return 0
-        lowered = list(exps)
-        lowered[var] -= 1
-        return exps[var] * monomial(lowered, coords)
-
-    columns = [(alpha, beta) for alpha in _compositions(a, n + 1) for beta in _compositions(b, m + 1)]
-    rows = []
-    for x, y in points:
-        for i in range(n + 1):
-            rows.append([derivative(al, x, i) * monomial(be, y) for al, be in columns])
-        for j in range(m + 1):
-            rows.append([monomial(al, x) * derivative(be, y, j) for al, be in columns])
-    return rows
-
-
 def test_tangent_rank_matches_rational_oracle():
     # One fixed seed, small integer points: fraction elimination over Q on
     # the exact integer matrix is the oracle, and the modular ranks of the
@@ -106,7 +75,7 @@ def test_tangent_rank_matches_rational_oracle():
          [1, int(rng.integers(1, 50))])
         for _ in range(5)
     ]
-    integer_matrix = np.array(_integer_tangent_matrix(2, 1, 3, 1, points), dtype=np.int64)
+    integer_matrix = np.array(integer_tangent_matrix(2, 1, 3, 1, points), dtype=np.int64)
     assert integer_matrix.shape == (25, 20)
     assert rational_rank(integer_matrix.tolist()) == 19
     for p in (DEFAULT_PRIME, SECOND_PRIME):
@@ -115,7 +84,7 @@ def test_tangent_rank_matches_rational_oracle():
 
 
 def test_tangent_matrix_agrees_with_independent_evaluation():
-    # The packaged evaluator and the test-local integer path must produce
+    # The packaged evaluator and the exact integer oracle must produce
     # the same matrix modulo p on identical points (up to column order,
     # which both fix the same way).
     spec = SegreVeroneseSpec(2, 1, 3, 1)
@@ -123,12 +92,12 @@ def test_tangent_matrix_agrees_with_independent_evaluation():
     rng = trial_rng(spec, seed=0, trial=0, prime=field.p)
     points = [(sample_point(2, field, rng), sample_point(1, field, rng)) for _ in range(2)]
     packaged = tangent_matrix(spec, points, field)
-    by_hand = _integer_tangent_matrix(
+    by_hand = integer_tangent_matrix(
         2, 1, 3, 1, [([int(v) for v in x], [int(v) for v in y]) for x, y in points]
     )
     by_hand_reduced = np.array([[v % field.p for v in row] for row in by_hand], dtype=np.int64)
     packaged_descending = packaged.entries
-    # The package enumerates exponents in descending lex, the local helper in
+    # The package enumerates exponents in descending lex, the oracle in
     # ascending lex; ranks and row spans agree, entries match after reversal.
     assert np.array_equal(packaged_descending[:, ::-1], by_hand_reduced)
 
@@ -225,3 +194,13 @@ def test_large_entry_products_stay_exact():
     entries = np.array([[p - 1, p - 2], [p - 3, p - 5]], dtype=np.int64)
     m = ConditionMatrix(entries, field)
     assert rank(m) == rational_rank(entries.tolist())
+
+
+def test_rank_accumulator_enforces_basis_row_bound(monkeypatch):
+    # The limb products are exact only below 2**16 basis rows; a basis that
+    # would grow past the bound is refused, not silently wrapped.
+    monkeypatch.setattr("segre_secant.field.MAX_BASIS_ROWS", 3)
+    acc = RankAccumulator(5, F101)
+    assert acc.absorb(np.eye(3, 5, dtype=np.int64)) == 3
+    with pytest.raises(SizingError, match="3 rows"):
+        acc.absorb(np.eye(5, dtype=np.int64)[3:])

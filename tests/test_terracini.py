@@ -9,7 +9,6 @@ from segre_secant import (
     SegreVeroneseSpec,
     SizingError,
     dimension_profile,
-    double_point_conditions,
     expected_dimension,
     expected_secant_dimension,
     rank,
@@ -97,7 +96,7 @@ def test_nondefective_filling_case_on_two_primes():
     ],
 )
 def test_double_point_ideal_dimensions(spec, s, kernel):
-    matrix = double_point_conditions(spec, _points(spec, s), FIELD)
+    matrix = tangent_matrix(spec, _points(spec, s), FIELD)
     assert (spec.N + 1) - rank(matrix) == kernel
 
 
@@ -123,7 +122,7 @@ def test_duality_on_identical_points():
     for spec in (SegreVeroneseSpec(2, 1, 2, 2), SegreVeroneseSpec(1, 2, 2, 3)):
         pts = _points(spec, 4, seed=3)
         tangent_rank = rank(tangent_matrix(spec, pts, FIELD))
-        conditions = double_point_conditions(spec, pts, FIELD)
+        conditions = tangent_matrix(spec, pts, FIELD)
         kernel = conditions.cols - rank(conditions)
         assert tangent_rank + kernel == spec.N + 1
 
