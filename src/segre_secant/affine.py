@@ -30,12 +30,13 @@ from math import comb
 
 import numpy as np
 
-from .field import ConditionMatrix, PrimeField, SizingError, sample_point
+from .field import ConditionMatrix, PrimeField, SizingError, rank, sample_point
 from .monomials import gradient_rows, split_exponent_array
 from .terracini import (
     DEFAULT_MEMORY_BUDGET,
     SecantReport,
     SegreVeroneseSpec,
+    check_prime_bound,
     expected_secant_dimension,
     trial_rng,
 )
@@ -143,8 +144,6 @@ def _ideal_dimension_with_rng(
     rng: np.random.Generator,
     memory_budget: int,
 ) -> int:
-    from .field import rank
-
     ncols = comb(scheme.n + scheme.a, scheme.n) * comb(scheme.m + scheme.b, scheme.m)
     _check_budget(scheme, ncols, memory_budget)
     doubles = [sample_generic_point(scheme, field, rng) for _ in range(scheme.s)]
@@ -190,6 +189,7 @@ def secant_dimension_via_reduction(
         raise ValueError(f"trials must be >= 1, got {trials}")
     if field is None:
         field = PrimeField()
+    check_prime_bound(spec, s, field.p)
     scheme = AffineSchemeSpec(spec.n, spec.m, spec.a, spec.b, s)
     best = None
     for trial in range(trials):

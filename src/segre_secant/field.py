@@ -1,4 +1,4 @@
-"""Exact dense linear algebra over prime fields.
+"""Exact linear algebra over prime fields, with one elimination kernel.
 
 Every dimension count in this package reduces to the rank of an integer
 matrix over F_p.  Entries are stored as numpy int64 reduced to [0, p).
@@ -35,7 +35,7 @@ def is_prime(n: int) -> bool:
     """Deterministic Miller-Rabin primality test (exact for n < 3.3e24)."""
     if n < 2:
         return False
-    for q in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for q in _MR_BASES:
         if n % q == 0:
             return n == q
     d = n - 1
@@ -132,47 +132,27 @@ class ConditionMatrix:
 
 
 def rank(matrix: ConditionMatrix) -> int:
-    """Rank of a ConditionMatrix over its prime field.
-
-    In-place Gaussian elimination on a private copy, pivoting on the first
-    row with a nonzero entry in the current column.  Deterministic for fixed
-    entries; an empty matrix has rank 0.
-    """
-    A = matrix.entries.copy()
-    p = matrix.field.p
-    nrows, ncols = A.shape
-    if nrows == 0 or ncols == 0:
-        return 0
-    r = 0
-    for col in range(ncols):
-        nz = np.nonzero(A[r:, col])[0]
-        if nz.size == 0:
-            continue
-        pivot = r + int(nz[0])
-        if pivot != r:
-            A[[r, pivot]] = A[[pivot, r]]
-        inv = pow(int(A[r, col]), -1, p)
-        if r + 1 < nrows:
-            factors = A[r + 1 :, col] * inv % p
-            A[r + 1 :, col:] = (A[r + 1 :, col:] - factors[:, None] * A[r, col:]) % p
-        r += 1
-        if r == nrows:
-            break
-    return r
+    """Rank of a ConditionMatrix over its prime field; an empty matrix has rank 0."""
+    return RankAccumulator(matrix.cols, matrix.field).absorb(matrix.entries)
 
 
 class RankAccumulator:
     """Incremental rank of a growing stack of rows over F_p.
 
-    Maintains a reduced row-echelon basis of everything absorbed so far, so
-    the rank after each block of rows comes out of a single elimination pass
-    over the whole stream.  This is what makes nested point streams cheap:
-    the dimensions of sigma_1, ..., sigma_s for one spec cost one elimination
-    instead of s.
+    The one elimination kernel of the package: a one-shot ``rank`` is a
+    single ``absorb``, and a nested point stream absorbs one block per
+    point, so the dimensions of sigma_1, ..., sigma_s for one spec cost one
+    elimination instead of s.
 
-    Incoming blocks are first reduced against the basis with one matrix
+    ``absorb`` reduces the incoming block against the basis with one matrix
     product (split into 16-bit limbs to keep int64 dot products exact), then
-    the handful of surviving rows are echelonized one by one.
+    walks its rows in order: a nonzero row's first nonzero column is a new
+    pivot, the row is normalized, stored, and its column cleared from the
+    rows below it.  The basis is therefore echelonized but not reduced when
+    ``absorb`` returns: older rows may still hold entries in the new pivot
+    columns.  That fix-up is deferred to the start of the next ``absorb``
+    (``_reduce_above``), where the matrix product needs the basis fully
+    reduced, so a one-shot rank costs one forward elimination.
     """
 
     def __init__(self, ncols: int, field: PrimeField):
@@ -181,38 +161,25 @@ class RankAccumulator:
         self._buf = np.zeros((min(max(ncols, 1), 256), ncols), dtype=np.int64)
         self._nrows = 0
         self._pivot_cols: list[int] = []
-        self._col_to_row: dict[int, int] = {}
+        self._reduced_rows = 0
 
     @property
     def rank(self) -> int:
         return self._nrows
 
-    @property
-    def basis(self) -> np.ndarray:
-        """Current reduced row-echelon basis (read-only view)."""
-        return self._buf[: self._nrows]
+    def _reduce_above(self) -> None:
+        """Clears each pivot added since the last call from the rows above it.
 
-    def _append_pivot(self, row: np.ndarray, col: int) -> None:
-        if self._nrows >= MAX_BASIS_ROWS:
-            raise SizingError(
-                f"rank accumulator basis would exceed {MAX_BASIS_ROWS} rows, "
-                f"the limit for exact int64 limb products"
-            )
+        Done in pivot order: a pivot row is zero in every earlier pivot
+        column, so clearing a later column never refills an earlier one.
+        """
         p = self.field.p
-        if self._nrows:
-            stale = self._buf[: self._nrows, col]
+        for i in range(self._reduced_rows, self._nrows):
+            col = self._pivot_cols[i]
+            stale = self._buf[:i, col]
             if np.any(stale):
-                self._buf[: self._nrows] = (
-                    self._buf[: self._nrows] - stale[:, None] * row[None, :]
-                ) % p
-        if self._nrows == self._buf.shape[0]:
-            grown = np.zeros((min(self._buf.shape[0] * 2, self.ncols), self.ncols), dtype=np.int64)
-            grown[: self._nrows] = self._buf[: self._nrows]
-            self._buf = grown
-        self._buf[self._nrows] = row
-        self._col_to_row[col] = self._nrows
-        self._pivot_cols.append(col)
-        self._nrows += 1
+                self._buf[:i, col:] = (self._buf[:i, col:] - stale[:, None] * self._buf[i, col:]) % p
+        self._reduced_rows = self._nrows
 
     def absorb(self, block) -> int:
         """Absorb a block of rows; returns the rank of everything so far."""
@@ -220,6 +187,7 @@ class RankAccumulator:
         B = np.atleast_2d(np.asarray(block, dtype=np.int64)) % p
         if B.shape[1] != self.ncols:
             raise ValueError(f"expected {self.ncols} columns, got {B.shape[1]}")
+        self._reduce_above()
         if self._nrows:
             coeffs = B[:, self._pivot_cols]
             hi = coeffs >> 16
@@ -227,24 +195,27 @@ class RankAccumulator:
             basis = self._buf[: self._nrows]
             reduced = (((hi @ basis) % p) << 16) + (lo @ basis)
             B = (B - reduced) % p
-        block_cols: list[int] = []
-        for raw in B:
-            row = raw.copy()
-            # Pivots added earlier in this same block were not part of the
-            # matrix product above; clear their columns first.
-            for col in block_cols:
-                if row[col]:
-                    row = (row - row[col] * self._buf[self._col_to_row[col]]) % p
-            while True:
-                nz = np.nonzero(row)[0]
-                if nz.size == 0:
-                    break
-                lead = int(nz[0])
-                holder = self._col_to_row.get(lead)
-                if holder is None:
-                    row = row * pow(int(row[lead]), -1, p) % p
-                    self._append_pivot(row, lead)
-                    block_cols.append(lead)
-                    break
-                row = (row - row[lead] * self._buf[holder]) % p
+        for i in range(B.shape[0]):
+            nz = np.flatnonzero(B[i])
+            if nz.size == 0:
+                continue
+            if self._nrows >= MAX_BASIS_ROWS:
+                raise SizingError(
+                    f"rank accumulator basis would exceed {MAX_BASIS_ROWS} rows, "
+                    f"the limit for exact int64 limb products"
+                )
+            if self._nrows == self._buf.shape[0]:
+                grown = np.zeros((min(self._nrows * 2, self.ncols), self.ncols), dtype=np.int64)
+                grown[: self._nrows] = self._buf[: self._nrows]
+                self._buf = grown
+            # Left of its first nonzero column the row is zero, so every
+            # update below touches only the columns from the pivot on.
+            col = int(nz[0])
+            row = self._buf[self._nrows, col:]
+            row[:] = B[i, col:] * pow(int(B[i, col]), -1, p) % p
+            self._pivot_cols.append(col)
+            self._nrows += 1
+            below = B[i + 1 :, col]
+            if np.any(below):
+                B[i + 1 :, col:] = (B[i + 1 :, col:] - below[:, None] * row) % p
         return self._nrows

@@ -37,7 +37,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb
 
-from .numerology import closed_form_e, closed_form_estar, invariants
+from .numerology import _base_rule, closed_form_e, closed_form_estar, invariants
 
 CASES = ("a", "b", "c", "d", "e")
 
@@ -289,8 +289,6 @@ def replay_main_theorem(n_max: int, a_max: int, b_max: int) -> ReplayReport:
             f"the inductive region starts at n = 3, a = 4, b = 1; "
             f"got bounds ({n_max}, {a_max}, {b_max})"
         )
-    from .numerology import _base_rule
-
     cells = tuple(
         _replay_cell(n, a, b)
         for n in range(3, n_max + 1)

@@ -36,7 +36,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from math import comb
 
-from .terracini import SegreVeroneseSpec
+from .terracini import SegreVeroneseSpec, dimension_profile
 
 RULE_MAIN = "main-theorem"
 RULE_CGG = "cgg-p1p1"
@@ -228,8 +228,6 @@ def computed_estar(
 
 
 def _scan_dims(spec: SegreVeroneseSpec, budget, trials, field, seed):
-    from .terracini import dimension_profile
-
     num = invariants(spec.n, spec.m, spec.a, spec.b)
     s_max = num.qstar + spec.dim + 1
     if budget is not None:

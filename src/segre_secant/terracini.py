@@ -164,6 +164,22 @@ def _check_budget(spec: SegreVeroneseSpec, s: int, memory_budget: int) -> None:
         )
 
 
+def check_prime_bound(spec: SegreVeroneseSpec, s: int, p: int) -> None:
+    """Refuses a prime too small for one trial to bound its failure chance.
+
+    Tangent and affine condition entries are forms of degree a + b - 1 in
+    the point coordinates, so a minor of generic rank size has degree at
+    most min(N+1, s(n+m+1)) * (a+b-1), and by Schwartz-Zippel one trial
+    misses the generic rank with probability at most that over p.
+    """
+    bound = min(spec.N + 1, s * (spec.dim + 1)) * (spec.a + spec.b - 1)
+    if bound >= p:
+        raise ValueError(
+            f"prime {p} is too small for {spec} with s={s}: the Schwartz-Zippel "
+            f"bound of one trial is {bound}/{p}, not below 1"
+        )
+
+
 def tangent_block(alphas: np.ndarray, betas: np.ndarray, x: np.ndarray, y: np.ndarray, p: int) -> np.ndarray:
     """The n+m+2 gradient rows of the monomial map at one point (x, y).
 
@@ -229,6 +245,7 @@ def dimension_profile(
         raise ValueError(f"trials must be >= 1, got {trials}")
     if field is None:
         field = PrimeField(DEFAULT_PRIME)
+    check_prime_bound(spec, s_max, field.p)
     _check_budget(spec, s_max, memory_budget)
     alphas = exponent_vectors(spec.a, spec.n + 1)
     betas = exponent_vectors(spec.b, spec.m + 1)

@@ -1,9 +1,10 @@
 """Independent oracles used by the test suite.
 
 These deliberately avoid the package's own elimination code paths: the
-rational row reduction works over exact fractions with its own pivoting
-logic, the brute-force monomial enumerators walk plain cartesian
-products, and the tangent rows are evaluated in exact Python integers.
+rational and modular row reductions work over exact fractions and Python
+integers with their own pivoting logic, the brute-force monomial
+enumerators walk plain cartesian products, and the tangent rows are
+evaluated in exact Python integers.
 Slow is fine here; independence is the point.
 """
 
@@ -37,6 +38,40 @@ def rational_rank(rows) -> int:
         if rank == len(work):
             break
     return rank
+
+
+def modular_rank(rows, p) -> int:
+    """Rank over F_p of an integer matrix, by elimination in Python ints."""
+    work = [[int(v) % p for v in row] for row in rows]
+    rank = 0
+    for col in range(len(work[0]) if work else 0):
+        pivot = next((i for i in range(rank, len(work)) if work[i][col]), None)
+        if pivot is None:
+            continue
+        work[rank], work[pivot] = work[pivot], work[rank]
+        inv = pow(work[rank][col], p - 2, p)
+        head = [v * inv % p for v in work[rank]]
+        for i in range(rank + 1, len(work)):
+            factor = work[i][col]
+            if factor:
+                work[i] = [(v - factor * w) % p for v, w in zip(work[i], head)]
+        rank += 1
+    return rank
+
+
+def chart_point(x, y, p):
+    """The point of P^(n+m) over (x, y) in P^n x P^m, with z_n = 1.
+
+    z = (x_0/x_n, ..., x_(n-1)/x_n, 1, y_1/y_0, ..., y_m/y_0) mod p, so the
+    double point there imposes on the split basis the conditions the
+    tangent space at (x, y) imposes on the bigraded one; needs x_n, y_0 != 0.
+    """
+    x = [int(v) % p for v in x]
+    y = [int(v) % p for v in y]
+    if x[-1] == 0 or y[0] == 0:
+        raise ValueError("chart z_n = 1 needs x_n and y_0 nonzero")
+    inv_x, inv_y = pow(x[-1], p - 2, p), pow(y[0], p - 2, p)
+    return [v * inv_x % p for v in x[:-1]] + [1] + [v * inv_y % p for v in y[1:]]
 
 
 def brute_split_monomials(n, m, a, b):

@@ -32,8 +32,11 @@ from segre_secant import (
     secant_dimension_via_reduction,
     tangent_matrix,
 )
+from segre_secant.affine import condition_matrix
 from segre_secant.cli import SweepConfig, run_verify
 from segre_secant.terracini import trial_rng
+
+from oracles import chart_point
 
 SEED = 20260808
 PRIMES = (DEFAULT_PRIME, SECOND_PRIME)
@@ -152,10 +155,11 @@ def test_criterion_4_duality_and_euler_invariants():
             (sample_point(spec.n, field, rng), sample_point(spec.m, field, rng))
             for _ in range(s)
         ]
-        tangent_rank = rank(tangent_matrix(spec, points, field))
-        conditions = tangent_matrix(spec, points, field)
+        # The ideal of the double points at the matching points of P^(n+m).
+        scheme = AffineSchemeSpec(spec.n, spec.m, spec.a, spec.b, s)
+        conditions = condition_matrix(scheme, [chart_point(x, y, field.p) for x, y in points], field=field)
         kernel = conditions.cols - rank(conditions)
-        if tangent_rank + kernel != spec.N + 1:
+        if rank(tangent_matrix(spec, points, field)) + kernel != spec.N + 1:
             failures.append((spec, s, "duality"))
         block = tangent_matrix(spec, points[:1], field)
         if rank(block) != spec.n + spec.m + 1:

@@ -126,6 +126,15 @@ def test_rejection_cap_raises_loudly():
     assert "16" in str(excinfo.value)
 
 
+def test_reduction_rejects_too_small_prime():
+    # The affine path checks the same Schwartz-Zippel bound as the tangent
+    # path: min(18, 4) * (2 + 2 - 1) = 12 is not below 11.
+    with pytest.raises(ValueError, match="prime 11 is too small.*12/11"):
+        secant_dimension_via_reduction(SegreVeroneseSpec(2, 1, 2, 2), 1, field=PrimeField(11))
+    report = secant_dimension_via_reduction(SegreVeroneseSpec(2, 1, 2, 2), 1, field=PrimeField(13))
+    assert report.prime == 13
+
+
 def test_sampled_points_avoid_special_subspaces():
     scheme = AffineSchemeSpec(2, 2, 1, 1, 1)
     rng = np.random.default_rng(2)

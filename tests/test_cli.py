@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import io
 import json
 
@@ -248,6 +249,54 @@ def test_dim_discrepancy_exit_code(capsys, monkeypatch):
     code, _, err = run(capsys, ["dim", "--n", "1", "--m", "1", "--a", "1", "--b", "1", "--s", "1"])
     assert code == EXIT_DISCREPANCY
     assert "witness" in err
+
+
+# sha256 of stdout for fixed seed, primes and flags; a change to any of them
+# means the engine no longer reproduces earlier runs byte for byte.
+PINNED_STDOUT = {
+    ("verify", "--jobs", "1", "--n-max", "2", "--a-max", "3", "--b-max", "3"):
+        "7a1d032747686aed315b053e9ab42d867ad1023826c93a7792d2143d1c5f7aae",
+    ("verify", "--jobs", "1", "--n-max", "2", "--a-max", "3", "--b-max", "3", "--format", "csv"):
+        "b0f828843421fee814dd4a103dd3604b100fe18cf51325d5c6ab1f0611c226d1",
+    ("dim", "--n", "3", "--m", "1", "--a", "2", "--b", "2", "--s", "5", "--cross-check"):
+        "825db0397a47d2179c2c649cc588d47e0b66c60cf4194a0f49d5af80ed2d4535",
+}
+
+
+def test_stdout_matches_pinned_digests(capsys):
+    for argv, digest in PINNED_STDOUT.items():
+        code, out, _ = run(capsys, list(argv))
+        assert code == EXIT_OK, argv
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, argv
+
+
+def test_dim_prime_too_small_exits_one(capsys):
+    # 12 = min(18, 4) * (2 + 2 - 1) >= 2: one trial bounds nothing.
+    code, out, err = run(
+        capsys,
+        ["dim", "--n", "2", "--m", "1", "--a", "2", "--b", "2", "--s", "1", "--prime", "2"],
+    )
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert "prime 2 is too small" in err and "12/2" in err
+    code, _, _ = run(
+        capsys,
+        ["dim", "--n", "2", "--m", "1", "--a", "2", "--b", "2", "--s", "1", "--prime", "13"],
+    )
+    assert code == EXIT_OK
+
+
+def test_verify_prime_too_small_records_cell_errors(capsys):
+    code, out, err = run(
+        capsys,
+        ["verify", "--n-min", "2", "--n-max", "2", "--a-min", "2", "--a-max", "2",
+         "--b-min", "2", "--b-max", "2", "--primes", "2", "--jobs", "1"],
+    )
+    assert code == EXIT_USAGE
+    payload = json.loads(out)
+    assert payload["cells"] == []
+    assert "prime 2 is too small" in payload["errors"][0]["error"]
+    assert "cell (2, 1, 2, 2): prime 2 is too small" in err
 
 
 def test_replay_cli_small_grid(capsys):

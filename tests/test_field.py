@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from segre_secant import (
     DEFAULT_PRIME,
@@ -14,7 +15,7 @@ from segre_secant import (
 )
 from segre_secant.terracini import SegreVeroneseSpec, tangent_matrix, trial_rng
 
-from oracles import integer_tangent_matrix, rational_rank
+from oracles import integer_tangent_matrix, modular_rank, rational_rank
 
 F101 = PrimeField(101)
 
@@ -178,7 +179,32 @@ def test_rank_accumulator_matches_batch_rank():
         for block in blocks:
             incremental = acc.absorb(block)
             stacked = np.vstack([stacked, block])
-            assert incremental == rank(ConditionMatrix(stacked, field))
+            assert incremental == modular_rank(stacked.tolist(), field.p)
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.sampled_from([2, 3, 101, DEFAULT_PRIME]), st.integers(1, 10), st.data())
+def test_rank_accumulator_matches_modular_oracle_on_streams(p, ncols, data):
+    # Empty blocks, zero rows and rows in the span of earlier blocks: a basis
+    # left unreduced between blocks would let a span row raise the rank.
+    acc = RankAccumulator(ncols, PrimeField(p))
+    entries = st.integers(0, p - 1)
+    stacked = []
+    for _ in range(data.draw(st.integers(1, 6))):
+        earlier = list(stacked)
+        block = []
+        for kind in data.draw(st.lists(st.sampled_from(["random", "zero", "span"]), max_size=4)):
+            if kind == "random":
+                row = data.draw(st.lists(entries, min_size=ncols, max_size=ncols))
+            elif kind == "span" and earlier:
+                coeffs = data.draw(st.lists(entries, min_size=len(earlier), max_size=len(earlier)))
+                row = [sum(c * r[j] for c, r in zip(coeffs, earlier)) % p for j in range(ncols)]
+            else:
+                row = [0] * ncols
+            block.append(row)
+        stacked.extend(block)
+        absorbed = acc.absorb(np.array(block, dtype=np.int64).reshape(len(block), ncols))
+        assert absorbed == acc.rank == modular_rank(stacked, p)
 
 
 def test_rank_accumulator_rejects_wrong_width():

@@ -16,7 +16,10 @@ from segre_secant import (
     secant_dimension,
     tangent_matrix,
 )
+from segre_secant.affine import AffineSchemeSpec, condition_matrix
 from segre_secant.terracini import trial_rng
+
+from oracles import chart_point
 
 FIELD = PrimeField(DEFAULT_PRIME)
 
@@ -119,12 +122,16 @@ def test_euler_redundancy_per_block(spec):
 
 
 def test_duality_on_identical_points():
-    for spec in (SegreVeroneseSpec(2, 1, 2, 2), SegreVeroneseSpec(1, 2, 2, 3)):
-        pts = _points(spec, 4, seed=3)
-        tangent_rank = rank(tangent_matrix(spec, pts, FIELD))
-        conditions = tangent_matrix(spec, pts, FIELD)
+    # The tangent rank at (x, y) and the ideal dimension of the double points
+    # at the matching points of P^(n+m) add up to N + 1, on defective cells
+    # too, where neither side is its parameter count.
+    for spec, s in ((SegreVeroneseSpec(2, 1, 2, 2), 4), (SegreVeroneseSpec(1, 2, 2, 3), 4),
+                    (SegreVeroneseSpec(1, 1, 2, 2), 3), (SegreVeroneseSpec(2, 1, 3, 1), 5)):
+        pts = _points(spec, s, seed=3)
+        scheme = AffineSchemeSpec(spec.n, spec.m, spec.a, spec.b, s)
+        conditions = condition_matrix(scheme, [chart_point(x, y, FIELD.p) for x, y in pts], field=FIELD)
         kernel = conditions.cols - rank(conditions)
-        assert tangent_rank + kernel == spec.N + 1
+        assert rank(tangent_matrix(spec, pts, FIELD)) + kernel == spec.N + 1
 
 
 def test_profile_monotonicity_on_nested_stream():
