@@ -4,12 +4,17 @@ Every dimension count in this package reduces to the rank of an integer
 matrix over F_p.  Entries are stored as numpy int64 reduced to [0, p).
 The modulus is restricted to p < 2**31 so that a product of two reduced
 elements stays below 2**62 and a subtraction stays above -2**62: single
-multiply-then-reduce steps are safe in plain int64.  The only place where
-sums of products occur (the block reduction inside RankAccumulator) splits
-one factor into 16-bit limbs first: a dot product over r basis rows then
-stays below r * 2**47, and the recombined sum below (r + 1) * 2**47, which
-fits int64 while the basis has fewer than 2**16 rows.  RankAccumulator
-enforces that bound (MAX_BASIS_ROWS).
+multiply-then-reduce steps are safe in plain int64.
+
+Sums of products (the block reduction inside RankAccumulator) run in
+float64 BLAS, which is exact on integers while every partial sum stays
+below 2**53.  One factor is split into 11-bit limbs and the other holds
+magnitudes below p, so each term is below 2**11 * 2**31 = 2**42, and a
+product over at most MAX_PRODUCT_TERMS = 2047 terms stays below
+2**53 - 2**42; longer inner dimensions are cut into chunks of that length,
+each reduced mod p before the next is added.  The basis size therefore
+does not enter the exactness bound; RankAccumulator still refuses a basis
+of MAX_BASIS_ROWS rows or more.
 """
 
 from __future__ import annotations
@@ -24,8 +29,14 @@ DEFAULT_PRIME = 2147483647
 #: Verification modulus of the same width, used to cross-check ranks.
 SECOND_PRIME = 2147483629
 
-#: Most rows a RankAccumulator basis may hold with exact limb products.
+#: Most rows a RankAccumulator basis may hold.
 MAX_BASIS_ROWS = 2**16 - 1
+
+#: Most terms one float64 product may sum: 2047 terms below 2**42 each
+#: stay below 2**53 - 2**42, where every partial sum is an exact float64.
+MAX_PRODUCT_TERMS = 2**11 - 1
+
+_LIMB_BITS = 11
 
 # Witness set making Miller-Rabin deterministic for all n < 3.3 * 10**24.
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -136,6 +147,37 @@ def rank(matrix: ConditionMatrix) -> int:
     return RankAccumulator(matrix.cols, matrix.field).absorb(matrix.entries)
 
 
+def _limbs(x: np.ndarray, shifts: np.ndarray) -> np.ndarray:
+    """Nonnegative int64 rows split into 11-bit limbs, limb l in the l-th row block, as float64."""
+    rows, cols = x.shape
+    return ((x >> shifts) & (2**_LIMB_BITS - 1)).reshape(shifts.shape[0] * rows, cols).astype(np.float64)
+
+
+def _submul(y: np.ndarray, a: np.ndarray, b: np.ndarray, p: int, work: np.ndarray | None = None) -> np.ndarray:
+    """Sets y to y - a @ b reduced mod p, in place, in float64 BLAS.
+
+    y holds integers of magnitude below p; one of a, b holds 11-bit limbs
+    and the other magnitudes below p.  The inner dimension is cut into
+    chunks of MAX_PRODUCT_TERMS, so x = y - (a @ b over one chunk) has
+    every partial sum exact and |x| < 2**22 * p.  Then q = rint(x / p) is
+    off from x / p by less than 1/2 + 2**-30, so q * p and x - q * p are
+    exact and |x - q * p| < p, with 0 the only representative of zero.
+    ``work``, if given, is scratch of y's shape.
+    """
+    for lo in range(0, a.shape[1], MAX_PRODUCT_TERMS):
+        hi = lo + MAX_PRODUCT_TERMS
+        y -= np.matmul(a[:, lo:hi], b[lo:hi], out=work)
+        q = np.multiply(y, 1.0 / p, out=work)
+        np.rint(q, out=q)
+        q *= p
+        y -= q
+    return y
+
+
+def _view(flat: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
+    return flat[: shape[0] * shape[1]].reshape(shape)
+
+
 class RankAccumulator:
     """Incremental rank of a growing stack of rows over F_p.
 
@@ -144,42 +186,83 @@ class RankAccumulator:
     point, so the dimensions of sigma_1, ..., sigma_s for one spec cost one
     elimination instead of s.
 
-    ``absorb`` reduces the incoming block against the basis with one matrix
-    product (split into 16-bit limbs to keep int64 dot products exact), then
-    walks its rows in order: a nonzero row's first nonzero column is a new
-    pivot, the row is normalized, stored, and its column cleared from the
-    rows below it.  The basis is therefore echelonized but not reduced when
-    ``absorb`` returns: older rows may still hold entries in the new pivot
-    columns.  That fix-up is deferred to the start of the next ``absorb``
-    (``_reduce_above``), where the matrix product needs the basis fully
-    reduced, so a one-shot rank costs one forward elimination.
+    The basis is kept reduced and compressed as ``[I | E]``: the pivot
+    column of each row, the free (non-pivot) columns, and ``E``, the rows
+    on the free columns, as float64 integers of magnitude below p.
+    ``absorb`` reduces the incoming block as ``B[:, free] - B[:, piv] @ E``
+    in float64 BLAS with ``B[:, piv]`` split into 11-bit limbs (see
+    ``_submul``), then walks the reduced rows in order in int64: a nonzero
+    row's first nonzero column is a new pivot, the row is normalized, and
+    its column cleared from the rows below it.  Folding the new rows into
+    ``[I | E]`` is deferred to the start of the next ``absorb``
+    (``_fix_up``), so a one-shot rank costs one forward elimination.
     """
 
     def __init__(self, ncols: int, field: PrimeField):
         self.field = field
         self.ncols = ncols
-        self._buf = np.zeros((min(max(ncols, 1), 256), ncols), dtype=np.int64)
-        self._nrows = 0
-        self._pivot_cols: list[int] = []
-        self._reduced_rows = 0
+        # Limb offsets covering p - 1 (three for p near 2**31), and 2**offset.
+        offsets = np.arange(0, max(field.p - 1, 1).bit_length(), _LIMB_BITS)
+        self._shifts = offsets[:, None, None]
+        self._weights = np.left_shift(1, offsets)
+        self._rank = 0
+        self._piv = np.empty(0, dtype=np.int64)
+        self._free = np.arange(ncols)
+        self._E = np.empty((0, ncols))
+        # Flat float64 buffers, reused across absorbs: the one E is a view
+        # of, the one the next E is written to, and scratch.
+        self._store = self._spare = self._work = None
+        # Positions in _free of the last absorb's pivots, and its new rows.
+        self._new_cols: list[int] = []
+        self._new_rows = np.empty((0, ncols), dtype=np.int64)
 
     @property
     def rank(self) -> int:
-        return self._nrows
+        return self._rank
 
-    def _reduce_above(self) -> None:
-        """Clears each pivot added since the last call from the rows above it.
+    def _fix_up(self) -> None:
+        """Folds the rows of the last ``absorb`` into the reduced basis.
 
-        Done in pivot order: a pivot row is zero in every earlier pivot
-        column, so clearing a later column never refills an earlier one.
+        The new rows are echelonized on the old free columns: each is zero
+        left of its pivot and in the pivots found before it.  Clearing the
+        pivots in order from the rows above reduces them; one product then
+        clears them from ``E``, and their columns leave the free set.
         """
+        if not self._new_cols:
+            return
         p = self.field.p
-        for i in range(self._reduced_rows, self._nrows):
-            col = self._pivot_cols[i]
-            stale = self._buf[:i, col]
-            if np.any(stale):
-                self._buf[:i, col:] = (self._buf[:i, col:] - stale[:, None] * self._buf[i, col:]) % p
-        self._reduced_rows = self._nrows
+        cols, N = self._new_cols, self._new_rows
+        for j in range(1, len(cols)):
+            col = cols[j]
+            above = N[:j, col]
+            if above.any():
+                N[:j, col:] = (N[:j, col:] - above[:, None] * N[j, col:]) % p
+        keep = np.ones(self._free.size, dtype=bool)
+        keep[cols] = False
+        kept = np.flatnonzero(keep)
+        N = N[:, kept]
+        r = self._E.shape[0]
+        shape = (r + len(cols), kept.size)
+        if self._spare is None or shape[0] * shape[1] > self._spare.size:
+            # Twice the need, within ncols**2 / 4: r + F = ncols bounds r * F.
+            size = min(2 * shape[0] * shape[1], self.ncols * self.ncols // 4)
+            self._store, self._spare, self._work = np.empty((3, size))
+        E = _view(self._spare, shape)
+        E[r:] = N
+        if r:
+            # mode="clip" writes into out directly; "raise" would buffer.
+            np.take(self._E, kept, axis=1, out=E[:r], mode="clip")
+            # E[:, cols] @ N with N split into limbs: the limb weights go,
+            # reduced mod p, onto the thin factor E[:, cols], so the r x F
+            # result is reduced once.
+            X = self._E[:, cols].astype(np.int64)[:, None, :] * self._weights[:, None] % p
+            work = _view(self._work, (r, kept.size))
+            _submul(E[:r], X.reshape(r, -1).astype(np.float64), _limbs(N, self._shifts), p, work)
+        self._E = E
+        self._store, self._spare = self._spare, self._store
+        self._piv = np.concatenate([self._piv, self._free[cols]])
+        self._free = self._free[kept]
+        self._new_cols = []
 
     def absorb(self, block) -> int:
         """Absorb a block of rows; returns the rank of everything so far."""
@@ -187,35 +270,34 @@ class RankAccumulator:
         B = np.atleast_2d(np.asarray(block, dtype=np.int64)) % p
         if B.shape[1] != self.ncols:
             raise ValueError(f"expected {self.ncols} columns, got {B.shape[1]}")
-        self._reduce_above()
-        if self._nrows:
-            coeffs = B[:, self._pivot_cols]
-            hi = coeffs >> 16
-            lo = coeffs & 0xFFFF
-            basis = self._buf[: self._nrows]
-            reduced = (((hi @ basis) % p) << 16) + (lo @ basis)
-            B = (B - reduced) % p
-        for i in range(B.shape[0]):
-            nz = np.flatnonzero(B[i])
+        self._fix_up()
+        R = B[:, self._free]
+        if self._piv.size:
+            # -(limb l of B[:, piv]) @ E for all limbs in one product, then
+            # summed with weights 2**(11 l) in int64, below 2**54.
+            limbs = _limbs(B[:, self._piv], self._shifts)
+            Y = _submul(np.zeros((limbs.shape[0], R.shape[1])), limbs, self._E, p)
+            R += (self._weights @ Y.astype(np.int64).reshape(self._weights.size, R.size)).reshape(R.shape)
+            R %= p
+        new, cols = [], []
+        for i in range(R.shape[0]):
+            nz = R[i].nonzero()[0]
             if nz.size == 0:
                 continue
-            if self._nrows >= MAX_BASIS_ROWS:
+            if self._rank >= MAX_BASIS_ROWS:
                 raise SizingError(
                     f"rank accumulator basis would exceed {MAX_BASIS_ROWS} rows, "
-                    f"the limit for exact int64 limb products"
+                    f"the largest basis the kernel supports"
                 )
-            if self._nrows == self._buf.shape[0]:
-                grown = np.zeros((min(self._nrows * 2, self.ncols), self.ncols), dtype=np.int64)
-                grown[: self._nrows] = self._buf[: self._nrows]
-                self._buf = grown
             # Left of its first nonzero column the row is zero, so every
             # update below touches only the columns from the pivot on.
             col = int(nz[0])
-            row = self._buf[self._nrows, col:]
-            row[:] = B[i, col:] * pow(int(B[i, col]), -1, p) % p
-            self._pivot_cols.append(col)
-            self._nrows += 1
-            below = B[i + 1 :, col]
-            if np.any(below):
-                B[i + 1 :, col:] = (B[i + 1 :, col:] - below[:, None] * row) % p
-        return self._nrows
+            R[i, col:] = R[i, col:] * pow(int(R[i, col]), -1, p) % p
+            new.append(i)
+            cols.append(col)
+            self._rank += 1
+            below = R[i + 1 :, col]
+            if below.any():
+                R[i + 1 :, col:] = (R[i + 1 :, col:] - below[:, None] * R[i, col:]) % p
+        self._new_cols, self._new_rows = cols, R[new]
+        return self._rank

@@ -31,6 +31,7 @@ from .numerology import classify
 from .terracini import (
     DEFAULT_MEMORY_BUDGET,
     SegreVeroneseSpec,
+    check_prime_bound,
     secant_dimension,
     trial_rng,
 )
@@ -120,9 +121,11 @@ def veronese_secant_dimension(
         raise ValueError(f"s must be >= 1, got {s}")
     if field is None:
         field = PrimeField()
+    # The Veronese is the m = b = 0 case, both in the spawn key and in the
+    # small-prime bound min(C(n+a, n), s(n+1)) * (a-1) < p.
+    key_spec = SimpleNamespace(n=n, m=0, a=a, b=0, N=comb(n + a, n) - 1, dim=n)
+    check_prime_bound(key_spec, s, field.p)
     exps = exponent_vectors(a, n + 1)
-    # The Veronese has no second factor: m = b = 0 in the spawn key.
-    key_spec = SimpleNamespace(n=n, m=0, a=a, b=0)
     best = -1
     for trial in range(trials):
         rng = trial_rng(key_spec, seed, trial, field.p, _METHOD_VERONESE)

@@ -227,11 +227,15 @@ def computed_estar(
     )
 
 
+@lru_cache(maxsize=8)
 def _scan_dims(spec: SegreVeroneseSpec, budget, trials, field, seed):
+    """The one profile behind computed_e and computed_estar (read-only, cached)."""
     num = invariants(spec.n, spec.m, spec.a, spec.b)
     s_max = num.qstar + spec.dim + 1
     if budget is not None:
         if budget < 1:
             raise ValueError(f"budget must be >= 1, got {budget}")
         s_max = min(s_max, budget)
-    return dimension_profile(spec, s_max, trials=trials, field=field, seed=seed)
+    dims = dimension_profile(spec, s_max, trials=trials, field=field, seed=seed)
+    dims.setflags(write=False)
+    return dims

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from segre_secant import (
     DEFAULT_PRIME,
@@ -13,6 +13,7 @@ from segre_secant import (
     rank,
     sample_point,
 )
+from segre_secant.field import MAX_PRODUCT_TERMS
 from segre_secant.terracini import SegreVeroneseSpec, tangent_matrix, trial_rng
 
 from oracles import integer_tangent_matrix, modular_rank, rational_rank
@@ -182,9 +183,7 @@ def test_rank_accumulator_matches_batch_rank():
             assert incremental == modular_rank(stacked.tolist(), field.p)
 
 
-@settings(max_examples=50, deadline=None)
-@given(st.sampled_from([2, 3, 101, DEFAULT_PRIME]), st.integers(1, 10), st.data())
-def test_rank_accumulator_matches_modular_oracle_on_streams(p, ncols, data):
+def _stream_matches_modular_oracle(p, ncols, data):
     # Empty blocks, zero rows and rows in the span of earlier blocks: a basis
     # left unreduced between blocks would let a span row raise the rank.
     acc = RankAccumulator(ncols, PrimeField(p))
@@ -207,6 +206,57 @@ def test_rank_accumulator_matches_modular_oracle_on_streams(p, ncols, data):
         assert absorbed == acc.rank == modular_rank(stacked, p)
 
 
+@settings(max_examples=50, deadline=None)
+@given(st.sampled_from([2, 3, 101, DEFAULT_PRIME]), st.integers(1, 10), st.data())
+def test_rank_accumulator_matches_modular_oracle_on_streams(p, ncols, data):
+    _stream_matches_modular_oracle(p, ncols, data)
+
+
+@pytest.mark.parametrize("terms", [2, 3])
+@settings(max_examples=50, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(p=st.sampled_from([2, 3, 101, DEFAULT_PRIME]), ncols=st.integers(1, 12), data=st.data())
+def test_chunked_products_match_modular_oracle_on_streams(monkeypatch, terms, p, ncols, data):
+    # Products over more than `terms` inner rows are summed chunk by chunk,
+    # so the chunked path runs on every stream with a few basis rows.
+    monkeypatch.setattr("segre_secant.field.MAX_PRODUCT_TERMS", terms)
+    _stream_matches_modular_oracle(p, ncols, data)
+
+
+def test_worst_case_entries_stay_exact():
+    # Every entry p - 1 (= -1) at p = 2**31 - 1: all limbs near 2**11 and a
+    # basis of large entries, through blocks and through the deferred fix-up.
+    p = DEFAULT_PRIME
+    rng = np.random.default_rng(31)
+    ncols = 40
+    acc = RankAccumulator(ncols, PrimeField(p))
+    stacked = []
+    for size in (1, 3, 6, 9, 2, 12, 8):
+        block = np.full((size, ncols), p - 1, dtype=np.int64)
+        # Rows of -(J - e_i - e_j): full rank in total, never -J's rank 1.
+        for row in block:
+            row[rng.choice(ncols, size=2, replace=False)] = 0
+        stacked.extend(block.tolist())
+        assert acc.absorb(block) == modular_rank(stacked, p)
+
+
+def test_product_at_the_exactness_envelope():
+    # A basis [I | -1 -1 -1] of MAX_PRODUCT_TERMS rows, then a row of p - 1s:
+    # its reduction sums 2047 terms of limb (<= 2047) times p - 1, the
+    # largest single product the float64 kernel allows.  The reduced row is
+    # (x - 2047, y - 2047, z - 2047) on the last three columns.
+    p = DEFAULT_PRIME
+    terms = MAX_PRODUCT_TERMS
+    basis = np.zeros((terms, terms + 3), dtype=np.int64)
+    basis[:, :terms] = np.eye(terms, dtype=np.int64)
+    basis[:, terms:] = p - 1
+    for tail, expected in (((2047, 2047, 2047), terms), ((2047, 2048, 2047), terms + 1)):
+        acc = RankAccumulator(terms + 3, PrimeField(p))
+        assert acc.absorb(basis) == terms
+        row = np.full((1, terms + 3), p - 1, dtype=np.int64)
+        row[0, terms:] = tail
+        assert acc.absorb(row) == expected
+
+
 def test_rank_accumulator_rejects_wrong_width():
     acc = RankAccumulator(4, F101)
     with pytest.raises(ValueError):
@@ -223,8 +273,7 @@ def test_large_entry_products_stay_exact():
 
 
 def test_rank_accumulator_enforces_basis_row_bound(monkeypatch):
-    # The limb products are exact only below 2**16 basis rows; a basis that
-    # would grow past the bound is refused, not silently wrapped.
+    # A basis that would grow past MAX_BASIS_ROWS is refused, not grown.
     monkeypatch.setattr("segre_secant.field.MAX_BASIS_ROWS", 3)
     acc = RankAccumulator(5, F101)
     assert acc.absorb(np.eye(3, 5, dtype=np.int64)) == 3

@@ -118,3 +118,11 @@ def test_corollary_bounds_validation():
         check_corollary(1, 5)
     with pytest.raises(ValueError):
         check_corollary(3, 1)
+
+
+def test_veronese_rejects_too_small_prime():
+    # min(C(4, 2), 2 * 3) * (2 - 1) = 6 >= 2: one trial's Schwartz-Zippel
+    # bound is not below 1 (p = 2 would report 2 instead of 4).
+    with pytest.raises(ValueError, match="too small"):
+        veronese_secant_dimension(2, 2, 2, field=PrimeField(2))
+    assert veronese_secant_dimension(2, 2, 2, field=PrimeField(7)) <= 4

@@ -2,6 +2,7 @@ from math import comb
 
 import pytest
 
+from segre_secant import numerology
 from segre_secant import (
     ClassificationVerdict,
     Numerology,
@@ -162,6 +163,21 @@ def test_remainder_parity_for_24_column():
 def test_computed_thresholds_match_closed_form(spec, e, estar):
     assert computed_e(spec) == e == closed_form_e(spec.n, spec.a, spec.b)
     assert computed_estar(spec) == estar == closed_form_estar(spec.n, spec.a, spec.b)
+
+
+def test_computed_e_and_estar_share_one_scan(monkeypatch):
+    calls = []
+    profile = numerology.dimension_profile
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return profile(*args, **kwargs)
+
+    monkeypatch.setattr(numerology, "dimension_profile", counted)
+    numerology._scan_dims.cache_clear()
+    spec = SegreVeroneseSpec(2, 1, 3, 1)
+    assert (computed_e(spec, seed=5), computed_estar(spec, seed=5)) == (4, 6)
+    assert len(calls) == 1
 
 
 def test_scan_budget_errors():
