@@ -16,7 +16,10 @@ evaluation row.  Then
     ideal dimension = |split basis| - rank(conditions)
     dim sigma_s     = N - ideal dimension,
 
-an independent second computation path for every secant dimension.
+an independent second computation path for every secant dimension.  Like
+the tangent path, its Monte-Carlo trials stream one double point per block
+through ``terracini.rank_profile``; only ``ideal_dimension``, which also
+serves reduced points, ranks a whole condition matrix in one shot.
 
 Sampled points use the chart z_0 = 1, which already avoids H2; membership
 in H1 is rejection-sampled with a capped number of retries so that a
@@ -26,7 +29,6 @@ pathological stream fails loudly instead of degenerating.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import comb
 
 import numpy as np
 
@@ -37,7 +39,7 @@ from .terracini import (
     SecantReport,
     SegreVeroneseSpec,
     check_prime_bound,
-    expected_secant_dimension,
+    rank_profile,
     trial_rng,
 )
 
@@ -64,10 +66,7 @@ class AffineSchemeSpec:
     simple_points: int = 0
 
     def __post_init__(self) -> None:
-        if min(self.n, self.m, self.a, self.b) < 1:
-            raise ValueError(
-                f"n, m, a, b must all be >= 1, got ({self.n}, {self.m}, {self.a}, {self.b})"
-            )
+        SegreVeroneseSpec(self.n, self.m, self.a, self.b)  # raises unless n, m, a, b >= 1
         if self.s < 0 or self.simple_points < 0:
             raise ValueError("s and simple_points must be >= 0")
 
@@ -138,20 +137,6 @@ def _check_budget(scheme: AffineSchemeSpec, ncols: int, memory_budget: int) -> N
         )
 
 
-def _ideal_dimension_with_rng(
-    scheme: AffineSchemeSpec,
-    field: PrimeField,
-    rng: np.random.Generator,
-    memory_budget: int,
-) -> int:
-    ncols = comb(scheme.n + scheme.a, scheme.n) * comb(scheme.m + scheme.b, scheme.m)
-    _check_budget(scheme, ncols, memory_budget)
-    doubles = [sample_generic_point(scheme, field, rng) for _ in range(scheme.s)]
-    simples = [sample_generic_point(scheme, field, rng) for _ in range(scheme.simple_points)]
-    matrix = condition_matrix(scheme, doubles, simples, field)
-    return ncols - rank(matrix)
-
-
 def ideal_dimension(
     scheme: AffineSchemeSpec,
     field: PrimeField | None = None,
@@ -165,8 +150,12 @@ def ideal_dimension(
     """
     if field is None:
         field = PrimeField()
+    ncols = scheme.embedding.N + 1
+    _check_budget(scheme, ncols, memory_budget)
     rng = trial_rng(scheme.embedding, seed, 0, field.p, _METHOD_AFFINE)
-    return _ideal_dimension_with_rng(scheme, field, rng, memory_budget)
+    doubles = [sample_generic_point(scheme, field, rng) for _ in range(scheme.s)]
+    simples = [sample_generic_point(scheme, field, rng) for _ in range(scheme.simple_points)]
+    return ncols - rank(condition_matrix(scheme, doubles, simples, field))
 
 
 def secant_dimension_via_reduction(
@@ -179,9 +168,10 @@ def secant_dimension_via_reduction(
 ) -> SecantReport:
     """dim sigma_s computed as N minus the ideal dimension in P^(n+m).
 
-    Aggregates over trials like the tangent-rank path: random evaluation can
-    only overestimate the ideal dimension, so the minimum over trials (the
-    max over computed dimensions) is the right aggregator.
+    Each trial streams the double-point conditions, one point per block,
+    through ``rank_profile``; random evaluation can only overestimate the
+    ideal dimension, so its minimum over trials (the max rank) is the right
+    aggregator, and N - (|split basis| - rank) = rank - 1.
     """
     if s < 1:
         raise ValueError(f"s must be >= 1, got {s}")
@@ -191,21 +181,11 @@ def secant_dimension_via_reduction(
         field = PrimeField()
     check_prime_bound(spec, s, field.p)
     scheme = AffineSchemeSpec(spec.n, spec.m, spec.a, spec.b, s)
-    best = None
-    for trial in range(trials):
-        rng = trial_rng(spec, seed, trial, field.p, _METHOD_AFFINE)
-        value = _ideal_dimension_with_rng(scheme, field, rng, memory_budget)
-        best = value if best is None else min(best, value)
-    computed = spec.N - best
-    expected = expected_secant_dimension(spec, s)
-    return SecantReport(
-        spec=spec,
-        s=s,
-        expected_dim=expected,
-        computed_dim=computed,
-        defect=expected - computed,
-        prime=field.p,
-        seed=seed,
-        trials=trials,
-        method="affine-reduction",
+    _check_budget(scheme, spec.N + 1, memory_budget)
+    gammas = split_exponent_array(spec)
+    ranks = rank_profile(
+        gammas.shape[0], field, s, trials,
+        lambda trial: trial_rng(spec, seed, trial, field.p, _METHOD_AFFINE),
+        lambda rng: gradient_rows(gammas, sample_generic_point(scheme, field, rng), field.p)[1],
     )
+    return SecantReport.measured(spec, s, int(ranks[-1]) - 1, field, seed, trials, "affine-reduction")

@@ -25,13 +25,14 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from .field import ConditionMatrix, PrimeField, RankAccumulator, sample_point
+from .field import ConditionMatrix, PrimeField, sample_point
 from .monomials import exponent_vectors, gradient_rows
 from .numerology import classify
 from .terracini import (
     DEFAULT_MEMORY_BUDGET,
     SegreVeroneseSpec,
     check_prime_bound,
+    rank_profile,
     secant_dimension,
     trial_rng,
 )
@@ -126,16 +127,12 @@ def veronese_secant_dimension(
     key_spec = SimpleNamespace(n=n, m=0, a=a, b=0, N=comb(n + a, n) - 1, dim=n)
     check_prime_bound(key_spec, s, field.p)
     exps = exponent_vectors(a, n + 1)
-    best = -1
-    for trial in range(trials):
-        rng = trial_rng(key_spec, seed, trial, field.p, _METHOD_VERONESE)
-        acc = RankAccumulator(exps.shape[0], field)
-        rank = 0
-        for _ in range(s):
-            x = sample_point(n, field, rng)
-            rank = acc.absorb(gradient_rows(exps, x, field.p)[1])
-        best = max(best, rank - 1)
-    return best
+    ranks = rank_profile(
+        exps.shape[0], field, s, trials,
+        lambda trial: trial_rng(key_spec, seed, trial, field.p, _METHOD_VERONESE),
+        lambda rng: gradient_rows(exps, sample_point(n, field, rng), field.p)[1],
+    )
+    return int(ranks[-1]) - 1
 
 
 def grassmann_defect(

@@ -32,11 +32,12 @@ dimension min(N, s(n+2) - 1) except for:
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import lru_cache
 from math import comb
 
-from .terracini import SegreVeroneseSpec, dimension_profile
+from .terracini import SegreVeroneseSpec, dimension_profile, expected_secant_dimension
 
 RULE_MAIN = "main-theorem"
 RULE_CGG = "cgg-p1p1"
@@ -68,27 +69,16 @@ class Numerology:
     qstar: int
 
 
-def _validate_nmab(n: int, m: int, a: int, b: int) -> None:
-    if min(n, m, a, b) < 1:
-        raise ValueError(f"n, m, a, b must all be >= 1, got ({n}, {m}, {a}, {b})")
-
-
 @lru_cache(maxsize=None)
 def invariants(n: int, m: int, a: int, b: int) -> Numerology:
     """The integers q, r, q* for the (n, m, a, b) embedding, exact."""
-    _validate_nmab(n, m, a, b)
-    total = comb(n + a, n) * comb(m + b, m)
-    q, r = divmod(total, n + m + 1)
+    q, r = divmod(SegreVeroneseSpec(n, m, a, b).N + 1, n + m + 1)
     return Numerology(q=q, r=r, qstar=q if r == 0 else q + 1)
 
 
 def expected_dimension(n: int, m: int, a: int, b: int, s: int) -> int:
     """min(N, s(n+m+1) - 1)."""
-    _validate_nmab(n, m, a, b)
-    if s < 1:
-        raise ValueError(f"s must be >= 1, got {s}")
-    N = comb(n + a, n) * comb(m + b, m) - 1
-    return min(N, s * (n + m + 1) - 1)
+    return expected_secant_dimension(SegreVeroneseSpec(n, m, a, b), s)
 
 
 @dataclass(frozen=True)
@@ -142,13 +132,10 @@ def classify(n: int, a: int, b: int, s: int) -> ClassificationVerdict:
     the main-theorem tag, the (2, 2d) windows carry the source of the defect
     formula.
     """
-    _validate_nmab(n, 1, a, b)
-    if s < 1:
-        raise ValueError(f"s must be >= 1, got {s}")
+    expected = expected_secant_dimension(SegreVeroneseSpec(n, 1, a, b), s)
     # On P^1 x P^1 the two factors play symmetric roles; canonicalize so the
     # (2, 2d) test below covers the swapped shapes (2d, 2) as well.
     ca, cb = (b, a) if n == 1 and a > b else (a, b)
-    expected = expected_dimension(n, 1, ca, cb, s)
     if n == 2 and (ca, cb) == (3, 1) and s == 5:
         return ClassificationVerdict(True, 1, expected - 1, RULE_MAIN)
     if ca == 2 and cb % 2 == 0:
@@ -160,26 +147,27 @@ def classify(n: int, a: int, b: int, s: int) -> ClassificationVerdict:
     return ClassificationVerdict(False, 0, expected, _base_rule(n, ca))
 
 
+# Both thresholds are found by bisection: a tangent block raises the rank by
+# at most n + 2 (one of its n + 3 partials is redundant by the bigraded Euler
+# relation) and the rank never falls, so full growth s(n+2) - 1 fails for
+# every s past the first failure, and filling holds for every s past the first.
 @lru_cache(maxsize=None)
 def closed_form_e(n: int, a: int, b: int) -> int:
     """Largest s whose closed-form dimension equals s(n+2) - 1 (m = 1)."""
-    num = invariants(n, 1, a, b)
-    best = 0
-    for s in range(1, num.qstar + n + 3):
-        if classify(n, a, b, s).dim == s * (n + 2) - 1:
-            best = s
-    return best
+    scan = range(1, invariants(n, 1, a, b).qstar + n + 3)
+    # The number of leading s with full growth is the last such s.
+    return bisect_left(scan, True, key=lambda s: classify(n, a, b, s).dim != s * (n + 2) - 1)
 
 
 @lru_cache(maxsize=None)
 def closed_form_estar(n: int, a: int, b: int) -> int:
     """Smallest s whose closed-form dimension equals N (m = 1)."""
-    num = invariants(n, 1, a, b)
+    scan = range(1, invariants(n, 1, a, b).qstar + n + 3)
     N = comb(n + a, n) * (b + 1) - 1
-    for s in range(1, num.qstar + n + 3):
-        if classify(n, a, b, s).dim == N:
-            return s
-    raise AssertionError(f"no filling s within the scan bound for ({n}, {a}, {b})")
+    i = bisect_left(scan, True, key=lambda s: classify(n, a, b, s).dim == N)
+    if i == len(scan):
+        raise AssertionError(f"no filling s within the scan bound for ({n}, {a}, {b})")
+    return scan[i]
 
 
 def computed_e(

@@ -129,6 +129,14 @@ class SecantReport:
         return d
 
     @classmethod
+    def measured(
+        cls, spec: SegreVeroneseSpec, s: int, computed: int, field: PrimeField, seed: int, trials: int, method: str
+    ) -> "SecantReport":
+        """The report of a computed dimension against min(N, s(n+m+1) - 1)."""
+        expected = expected_secant_dimension(spec, s)
+        return cls(spec, s, expected, computed, expected - computed, field.p, seed, trials, method)
+
+    @classmethod
     def from_dict(cls, d: dict) -> "SecantReport":
         spec = SegreVeroneseSpec(d["n"], d["m"], d["a"], d["b"])
         return cls(
@@ -224,6 +232,22 @@ def tangent_matrix(spec: SegreVeroneseSpec, points, field: PrimeField) -> Condit
     return ConditionMatrix(np.vstack(blocks), field)
 
 
+def rank_profile(ncols: int, field: PrimeField, s_max: int, trials: int, rng_for, block_at) -> np.ndarray:
+    """Rank after each of s_max sampled blocks, the elementwise max over trials.
+
+    Trial t draws its blocks as block_at(rng_for(t)) and streams them through
+    one fresh incremental rank accumulator (a nested point stream), so entry
+    s - 1 is the rank of s stacked blocks.  Absorbing a block draws nothing,
+    so each stream sees the same draws as sampling all points up front.
+    """
+    best = np.zeros(s_max, dtype=np.int64)
+    for trial in range(trials):
+        rng = rng_for(trial)
+        acc = RankAccumulator(ncols, field)
+        np.maximum(best, [acc.absorb(block_at(rng)) for _ in range(s_max)], out=best)
+    return best
+
+
 def dimension_profile(
     spec: SegreVeroneseSpec,
     s_max: int,
@@ -234,10 +258,8 @@ def dimension_profile(
 ) -> np.ndarray:
     """Monte-Carlo dimensions of sigma_s for every s = 1..s_max at once.
 
-    Each trial streams s_max point blocks through one incremental rank
-    accumulator (a nested point stream), recording the rank after every
-    block; the returned array is the elementwise max over trials, entry
-    s - 1 holding dim sigma_s.
+    The rank profile of tangent blocks (see ``rank_profile``) minus one:
+    entry s - 1 holds dim sigma_s.
     """
     if s_max < 1:
         raise ValueError(f"s_max must be >= 1, got {s_max}")
@@ -249,18 +271,18 @@ def dimension_profile(
     _check_budget(spec, s_max, memory_budget)
     alphas = exponent_vectors(spec.a, spec.n + 1)
     betas = exponent_vectors(spec.b, spec.m + 1)
-    ncols = alphas.shape[0] * betas.shape[0]
-    best = np.full(s_max, -1, dtype=np.int64)
-    for trial in range(trials):
-        rng = trial_rng(spec, seed, trial, field.p, _METHOD_TANGENT)
-        acc = RankAccumulator(ncols, field)
-        dims = np.empty(s_max, dtype=np.int64)
-        for s in range(1, s_max + 1):
-            x = sample_point(spec.n, field, rng)
-            y = sample_point(spec.m, field, rng)
-            dims[s - 1] = acc.absorb(tangent_block(alphas, betas, x, y, field.p)) - 1
-        np.maximum(best, dims, out=best)
-    return best
+
+    def block_at(rng: np.random.Generator) -> np.ndarray:
+        x = sample_point(spec.n, field, rng)
+        y = sample_point(spec.m, field, rng)
+        return tangent_block(alphas, betas, x, y, field.p)
+
+    ranks = rank_profile(
+        alphas.shape[0] * betas.shape[0], field, s_max, trials,
+        lambda trial: trial_rng(spec, seed, trial, field.p, _METHOD_TANGENT),
+        block_at,
+    )
+    return ranks - 1
 
 
 def secant_dimension(
@@ -277,16 +299,4 @@ def secant_dimension(
     if field is None:
         field = PrimeField(DEFAULT_PRIME)
     dims = dimension_profile(spec, s, trials=trials, field=field, seed=seed, memory_budget=memory_budget)
-    computed = int(dims[s - 1])
-    expected = expected_secant_dimension(spec, s)
-    return SecantReport(
-        spec=spec,
-        s=s,
-        expected_dim=expected,
-        computed_dim=computed,
-        defect=expected - computed,
-        prime=field.p,
-        seed=seed,
-        trials=trials,
-        method="terracini",
-    )
+    return SecantReport.measured(spec, s, int(dims[s - 1]), field, seed, trials, "terracini")

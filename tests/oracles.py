@@ -139,3 +139,14 @@ def integer_tangent_matrix(n, m, a, b, points):
         for j in range(m + 1):
             rows.append([integer_monomial(al, x) * integer_partial(be, y, j) for al, be in columns])
     return rows
+
+
+def scan_thresholds(dims, step, N):
+    """(e, e*) of the dimensions dims[s - 1] of sigma_s, s = 1, 2, ..., by linear scan.
+
+    e is the last s with dim = s * step - 1 (0 if none), e* the first s with
+    dim = N (None if none); no monotonicity in s is assumed.
+    """
+    e = max((s for s, dim in enumerate(dims, start=1) if dim == s * step - 1), default=0)
+    estar = next((s for s, dim in enumerate(dims, start=1) if dim == N), None)
+    return e, estar

@@ -96,6 +96,29 @@ def test_reduction_equivalence_small_grid():
             assert tangent == reduction, (spec, s)
 
 
+@pytest.mark.parametrize(
+    "spec, s, p",
+    [
+        (SegreVeroneseSpec(2, 1, 3, 1), 5, FIELD.p),
+        (SegreVeroneseSpec(1, 1, 2, 2), 3, FIELD.p),
+        (SegreVeroneseSpec(1, 2, 2, 1), 3, FIELD.p),
+        (SegreVeroneseSpec(2, 2, 2, 3), 6, FIELD.p),
+        # Primes just above the Schwartz-Zippel bound: draws often fall on
+        # special positions, so equal values pin equal draws.
+        (SegreVeroneseSpec(1, 1, 2, 1), 2, 13),
+        (SegreVeroneseSpec(1, 2, 1, 1), 2, 7),
+        (SegreVeroneseSpec(2, 1, 1, 1), 2, 7),
+    ],
+)
+def test_streamed_reduction_matches_one_shot_ideal(spec, s, p):
+    # Trial 0 of the streamed path and the one-shot ideal draw the same points.
+    field = PrimeField(p)
+    scheme = AffineSchemeSpec(spec.n, spec.m, spec.a, spec.b, s)
+    for seed in range(20):
+        streamed = secant_dimension_via_reduction(spec, s, trials=1, field=field, seed=seed)
+        assert streamed.computed_dim == spec.N - ideal_dimension(scheme, field=field, seed=seed), seed
+
+
 def test_generic_simple_points_impose_independent_conditions():
     rng = np.random.default_rng(31)
     for _ in range(6):

@@ -260,6 +260,12 @@ PINNED_STDOUT = {
         "b0f828843421fee814dd4a103dd3604b100fe18cf51325d5c6ab1f0611c226d1",
     ("dim", "--n", "3", "--m", "1", "--a", "2", "--b", "2", "--s", "5", "--cross-check"):
         "825db0397a47d2179c2c649cc588d47e0b66c60cf4194a0f49d5af80ed2d4535",
+    ("dim", "--n", "2", "--m", "2", "--a", "2", "--b", "3", "--s", "6", "--cross-check"):
+        "7150fcde553fb8dd42ec198d449b9179b93599ca39573d1deb9a14e16e56bf0c",
+    ("replay", "--n-max", "6", "--a-max", "8", "--b-max", "6"):
+        "fa155a0ad5589ef36012c1796b9fd2d71efac81c121c2ff07e88c2014f97066b",
+    ("grassmann", "--n-max", "3", "--a-max", "5"):
+        "4e708a44fbb5991f26c340e1cf73b7d010f9bd0076a031bc2471f21c1a639d4b",
 }
 
 

@@ -18,6 +18,8 @@ from segre_secant import (
     window_deficiency,
 )
 
+from oracles import scan_thresholds
+
 
 @pytest.mark.parametrize(
     "n, m, a, b, q, r, qstar",
@@ -144,6 +146,19 @@ def test_threshold_sandwich_on_grid():
 def test_closed_form_threshold_examples(n, a, b, e, estar):
     assert closed_form_e(n, a, b) == e
     assert closed_form_estar(n, a, b) == estar
+
+
+def test_closed_form_thresholds_match_linear_scan():
+    # n <= 6, a, b <= 8 holds the sporadic cell (2, 3, 1) and the (2, 2d)
+    # windows, with their swapped shapes (2d, 2) on P^1 x P^1.
+    for n in range(1, 7):
+        for a in range(1, 9):
+            for b in range(1, 9):
+                s_max = invariants(n, 1, a, b).qstar + n + 2
+                dims = [classify.__wrapped__(n, a, b, s).dim for s in range(1, s_max + 1)]
+                N = comb(n + a, n) * (b + 1) - 1
+                expected = scan_thresholds(dims, n + 2, N)
+                assert (closed_form_e(n, a, b), closed_form_estar(n, a, b)) == expected, (n, a, b)
 
 
 def test_remainder_parity_for_24_column():
