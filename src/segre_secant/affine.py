@@ -173,10 +173,6 @@ def secant_dimension_via_reduction(
     ideal dimension, so its minimum over trials (the max rank) is the right
     aggregator, and N - (|split basis| - rank) = rank - 1.
     """
-    if s < 1:
-        raise ValueError(f"s must be >= 1, got {s}")
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
     if field is None:
         field = PrimeField()
     check_prime_bound(spec, s, field.p)
@@ -184,7 +180,7 @@ def secant_dimension_via_reduction(
     _check_budget(scheme, spec.N + 1, memory_budget)
     gammas = split_exponent_array(spec)
     ranks = rank_profile(
-        gammas.shape[0], field, s, trials,
+        gammas.shape[0], spec.dim + 1, field, s, trials,
         lambda trial: trial_rng(spec, seed, trial, field.p, _METHOD_AFFINE),
         lambda rng: gradient_rows(gammas, sample_generic_point(scheme, field, rng), field.p)[1],
     )

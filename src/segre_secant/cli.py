@@ -23,12 +23,16 @@ from __future__ import annotations
 
 import argparse
 import csv
+import ctypes
+import glob
 import json
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
+
+import numpy as np
 
 from .affine import GenericityError, secant_dimension_via_reduction
 from .field import DEFAULT_PRIME, SECOND_PRIME, PrimeField, SizingError
@@ -39,6 +43,7 @@ from .terracini import (
     DEFAULT_MEMORY_BUDGET,
     RNG_DESCRIPTION,
     SegreVeroneseSpec,
+    check_prime_bound,
     dimension_profile,
     secant_dimension,
 )
@@ -204,13 +209,20 @@ def _verify_cell(job) -> dict:
         else:
             s_values = s_list
         s_max = max(s_values)
-        profiles = [
-            dimension_profile(
-                spec, s_max, trials=trials, field=PrimeField(p), seed=seed,
+        bound = [expected_dimension(n, m, a, b, s) for s in range(1, s_max + 1)]
+        profiles = []
+        for p in primes:
+            field = PrimeField(p)
+            if any(np.array_equal(profile, bound) for profile in profiles):
+                # No prime can exceed the bound, so the max and the first
+                # prime reaching it are known; the prime is still refused
+                # where a computed one would be.
+                check_prime_bound(spec, s_max, p)
+                continue
+            profiles.append(dimension_profile(
+                spec, s_max, trials=trials, field=field, seed=seed,
                 memory_budget=memory_budget,
-            )
-            for p in primes
-        ]
+            ))
         rows = []
         for s in s_values:
             per_prime = [int(profile[s - 1]) for profile in profiles]
@@ -236,6 +248,53 @@ def _verify_cell(job) -> dict:
         return {"cell": (n, m, a, b), "error": str(exc)}
 
 
+#: (set, get) thread-count symbols: numpy's bundled scipy-openblas first,
+#: then a system OpenBLAS.
+_OPENBLAS_SYMBOLS = (
+    ("scipy_openblas_set_num_threads64_", "scipy_openblas_get_num_threads64_"),
+    ("openblas_set_num_threads", "openblas_get_num_threads"),
+)
+
+
+def _openblas_thread_calls():
+    """(set, get) thread-count functions of an OpenBLAS already loaded, or None.
+
+    Looks in numpy's wheel library directory and for the system soname,
+    opening only a library numpy has already loaded (RTLD_NOLOAD).
+    """
+    libdir = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs")
+    for path in sorted(glob.glob(os.path.join(libdir, "*openblas*"))) + ["libopenblas.so.0"]:
+        try:
+            lib = ctypes.CDLL(path, mode=getattr(os, "RTLD_NOLOAD", 0))
+        except OSError:
+            continue
+        for set_name, get_name in _OPENBLAS_SYMBOLS:
+            set_threads = getattr(lib, set_name, None)
+            get_threads = getattr(lib, get_name, None)
+            if set_threads is not None and get_threads is not None:
+                set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
+                get_threads.argtypes, get_threads.restype = [], ctypes.c_int
+                return set_threads, get_threads
+    return None
+
+
+def _pin_blas_threads() -> None:
+    """Runs OpenBLAS on one thread in this process; does nothing without it.
+
+    Parallelism comes from --jobs, one cell per core: OpenBLAS threads in
+    the parent and in each pool worker would compete for the same cores.
+    Only processes the CLI owns call this, never a library function.  A
+    worker forked from a pinned parent already runs on one thread and is
+    left alone: in a forked child any set call restarts OpenBLAS's thread
+    pool, whose new threads spin-wait before they sleep.
+    """
+    calls = _openblas_thread_calls()
+    if calls is not None:
+        set_threads, get_threads = calls
+        if get_threads() != 1:
+            set_threads(1)
+
+
 def _available_cores() -> int:
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))
@@ -256,7 +315,7 @@ def run_verify(config: SweepConfig) -> tuple[dict, list[dict], int]:
     # cells or cores would only cost processes.
     workers = min(config.jobs, len(jobs), _available_cores())
     if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        with ProcessPoolExecutor(max_workers=workers, initializer=_pin_blas_threads) as pool:
             results = list(pool.map(_verify_cell, jobs))
     else:
         results = [_verify_cell(job) for job in jobs]
@@ -523,6 +582,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    _pin_blas_threads()
     try:
         return args.func(args)
     except (ValueError, SizingError, GenericityError) as exc:

@@ -118,8 +118,6 @@ def veronese_secant_dimension(
     seed: int = 0,
 ) -> int:
     """Monte-Carlo dim of the s-th secant of the degree-a Veronese of P^n."""
-    if s < 1:
-        raise ValueError(f"s must be >= 1, got {s}")
     if field is None:
         field = PrimeField()
     # The Veronese is the m = b = 0 case, both in the spawn key and in the
@@ -128,7 +126,7 @@ def veronese_secant_dimension(
     check_prime_bound(key_spec, s, field.p)
     exps = exponent_vectors(a, n + 1)
     ranks = rank_profile(
-        exps.shape[0], field, s, trials,
+        exps.shape[0], n + 1, field, s, trials,
         lambda trial: trial_rng(key_spec, seed, trial, field.p, _METHOD_VERONESE),
         lambda rng: gradient_rows(exps, sample_point(n, field, rng), field.p)[1],
     )

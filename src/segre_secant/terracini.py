@@ -232,19 +232,46 @@ def tangent_matrix(spec: SegreVeroneseSpec, points, field: PrimeField) -> Condit
     return ConditionMatrix(np.vstack(blocks), field)
 
 
-def rank_profile(ncols: int, field: PrimeField, s_max: int, trials: int, rng_for, block_at) -> np.ndarray:
+def rank_profile(
+    ncols: int, point_rank: int, field: PrimeField, s_max: int, trials: int, rng_for, block_at, s_name: str = "s"
+) -> np.ndarray:
     """Rank after each of s_max sampled blocks, the elementwise max over trials.
 
     Trial t draws its blocks as block_at(rng_for(t)) and streams them through
     one fresh incremental rank accumulator (a nested point stream), so entry
     s - 1 is the rank of s stacked blocks.  Absorbing a block draws nothing,
     so each stream sees the same draws as sampling all points up front.
+
+    ``point_rank`` bounds the rank of every block at every point, so the
+    rank of s blocks is at most ceiling[s - 1] = min(ncols, s * point_rank).
+    For tangent blocks it is n + m + 1, not the n + m + 2 rows: the
+    bigraded Euler relation b * sum x_i d/dx_i = a * sum y_j d/dy_j ties
+    the rows at any point with x_0 = 1, because p > a + b (which
+    ``check_prime_bound`` implies) keeps a and b nonzero mod p.  Random
+    evaluation can only underestimate a rank, so the loop stops early
+    without changing the result: a trial draws no further block once its
+    rank is ncols, and no further trial runs once the running max equals
+    the ceiling at every s.  Trials have their own streams, so skipping
+    draws in one never shifts another.  ``s_name`` names s_max in the
+    error raised when it is below 1.
     """
+    if s_max < 1:
+        raise ValueError(f"{s_name} must be >= 1, got {s_max}")
+    if trials < 1:
+        raise ValueError(f"trials must be >= 1, got {trials}")
+    ceiling = np.minimum(ncols, point_rank * np.arange(1, s_max + 1))
     best = np.zeros(s_max, dtype=np.int64)
     for trial in range(trials):
         rng = rng_for(trial)
         acc = RankAccumulator(ncols, field)
-        np.maximum(best, [acc.absorb(block_at(rng)) for _ in range(s_max)], out=best)
+        ranks = np.full(s_max, ncols, dtype=np.int64)
+        for s in range(s_max):
+            ranks[s] = acc.absorb(block_at(rng))
+            if ranks[s] == ncols:
+                break
+        np.maximum(best, ranks, out=best)
+        if np.array_equal(best, ceiling):
+            break
     return best
 
 
@@ -261,10 +288,6 @@ def dimension_profile(
     The rank profile of tangent blocks (see ``rank_profile``) minus one:
     entry s - 1 holds dim sigma_s.
     """
-    if s_max < 1:
-        raise ValueError(f"s_max must be >= 1, got {s_max}")
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
     if field is None:
         field = PrimeField(DEFAULT_PRIME)
     check_prime_bound(spec, s_max, field.p)
@@ -278,9 +301,9 @@ def dimension_profile(
         return tangent_block(alphas, betas, x, y, field.p)
 
     ranks = rank_profile(
-        alphas.shape[0] * betas.shape[0], field, s_max, trials,
+        alphas.shape[0] * betas.shape[0], spec.dim + 1, field, s_max, trials,
         lambda trial: trial_rng(spec, seed, trial, field.p, _METHOD_TANGENT),
-        block_at,
+        block_at, s_name="s_max",
     )
     return ranks - 1
 

@@ -4,12 +4,17 @@ These deliberately avoid the package's own elimination code paths: the
 rational and modular row reductions work over exact fractions and Python
 integers with their own pivoting logic, the brute-force monomial
 enumerators walk plain cartesian products, and the tangent rows are
-evaluated in exact Python integers.
+evaluated in exact Python integers.  The one exception is
+``full_rank_profile``, which checks the trial loop's control flow and so
+reuses the package's rank accumulator (checked against ``modular_rank`` by
+its own tests).
 Slow is fine here; independence is the point.
 """
 
 from fractions import Fraction
 from itertools import product
+
+from segre_secant import RankAccumulator
 
 
 def rational_rank(rows) -> int:
@@ -150,3 +155,18 @@ def scan_thresholds(dims, step, N):
     e = max((s for s, dim in enumerate(dims, start=1) if dim == s * step - 1), default=0)
     estar = next((s for s, dim in enumerate(dims, start=1) if dim == N), None)
     return e, estar
+
+
+def full_rank_profile(ncols, field, s_max, trials, rng_for, block_at):
+    """Rank after each of s_max blocks, max over trials, with no early stop.
+
+    Every trial draws and absorbs all s_max blocks from its stream
+    rng_for(trial), whatever its rank, and every trial runs.
+    """
+    best = [0] * s_max
+    for trial in range(trials):
+        rng = rng_for(trial)
+        acc = RankAccumulator(ncols, field)
+        ranks = [acc.absorb(block_at(rng)) for _ in range(s_max)]
+        best = [max(old, new) for old, new in zip(best, ranks)]
+    return best

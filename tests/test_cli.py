@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from segre_secant import SecantReport
+from segre_secant import SecantReport, cli
 from segre_secant.cli import CSV_COLUMNS, EXIT_DISCREPANCY, EXIT_OK, EXIT_USAGE, main
 from segre_secant.numerology import ClassificationVerdict
 
@@ -205,12 +205,14 @@ def test_verify_cell_error_exits_one(capsys):
 
 
 class _SerialPool:
-    """Stands in for ProcessPoolExecutor: records max_workers, maps in-process."""
+    """Stands in for ProcessPoolExecutor: records its arguments, maps in-process."""
 
     sizes: list = []
+    initializers: list = []
 
-    def __init__(self, max_workers):
+    def __init__(self, max_workers, initializer=None):
         self.sizes.append(max_workers)
+        self.initializers.append(initializer)
 
     def __enter__(self):
         return self
@@ -236,6 +238,41 @@ def test_verify_jobs_clamped_to_cells_and_cores(capsys, monkeypatch):
     monkeypatch.setattr("segre_secant.cli._available_cores", lambda: 1)
     run(capsys, grid + ["--jobs", "100000"])
     assert _SerialPool.sizes == [3, 4]
+    # every pool worker pins BLAS to one thread as it starts
+    assert _SerialPool.initializers == [cli._pin_blas_threads] * 2
+
+
+def test_main_pins_blas_to_one_thread(capsys):
+    calls = cli._openblas_thread_calls()
+    if calls is not None:
+        set_threads, get_threads = calls
+        set_threads(2)
+    code, _, _ = run(capsys, ["numerology", "--n", "1", "--m", "1", "--a", "1", "--b", "1"])
+    assert code == EXIT_OK
+    if calls is not None:
+        assert get_threads() == 1
+
+
+def test_verify_skips_primes_after_a_certified_profile(capsys, monkeypatch):
+    # (2, 1, 2, 3) reaches min(N, s(n+2) - 1) at every s on its first prime;
+    # (2, 1, 2, 2) is defective at s = 4, 5, so both primes run.
+    primes = []
+    original = cli.dimension_profile
+
+    def recording(spec, s_max, **kwargs):
+        primes.append(kwargs["field"].p)
+        return original(spec, s_max, **kwargs)
+
+    monkeypatch.setattr("segre_secant.cli.dimension_profile", recording)
+    for b, expected in ((3, [2147483647]), (2, [2147483647, 2147483629])):
+        primes.clear()
+        code, out, _ = run(
+            capsys,
+            ["verify", "--n-min", "2", "--n-max", "2", "--a-min", "2", "--a-max", "2",
+             "--b-min", str(b), "--b-max", str(b), "--jobs", "1"],
+        )
+        assert code == EXIT_OK and primes == expected
+        assert {cell["prime"] for cell in json.loads(out)["cells"]} == {2147483647}
 
 
 def test_dim_discrepancy_exit_code(capsys, monkeypatch):

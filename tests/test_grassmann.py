@@ -126,3 +126,11 @@ def test_veronese_rejects_too_small_prime():
     with pytest.raises(ValueError, match="too small"):
         veronese_secant_dimension(2, 2, 2, field=PrimeField(2))
     assert veronese_secant_dimension(2, 2, 2, field=PrimeField(7)) <= 4
+
+
+def test_veronese_rejects_zero_trials():
+    # The shared rank-profile check; without it no trial ran and -1 came back.
+    with pytest.raises(ValueError, match="trials must be >= 1, got 0"):
+        veronese_secant_dimension(2, 2, 3, trials=0)
+    with pytest.raises(ValueError, match="s must be >= 1, got 0"):
+        veronese_secant_dimension(2, 2, 0)

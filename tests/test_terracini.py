@@ -1,25 +1,38 @@
+from math import comb
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from segre_secant import (
     DEFAULT_PRIME,
     SECOND_PRIME,
     PrimeField,
+    RankAccumulator,
     SecantReport,
     SegreVeroneseSpec,
     SizingError,
     dimension_profile,
     expected_dimension,
     expected_secant_dimension,
+    is_prime,
     rank,
     sample_point,
     secant_dimension,
     tangent_matrix,
+    veronese_secant_dimension,
 )
-from segre_secant.affine import AffineSchemeSpec, condition_matrix
-from segre_secant.terracini import trial_rng
+from segre_secant.affine import (
+    AffineSchemeSpec,
+    condition_matrix,
+    sample_generic_point,
+    secant_dimension_via_reduction,
+)
+from segre_secant.monomials import exponent_vectors, gradient_rows, split_exponent_array
+from segre_secant.terracini import rank_profile, tangent_block, trial_rng
 
-from oracles import chart_point
+from oracles import chart_point, full_rank_profile
 
 FIELD = PrimeField(DEFAULT_PRIME)
 
@@ -216,3 +229,115 @@ def test_single_s_query_consistent_with_profile():
     for s in (1, 3, 6):
         report = secant_dimension(spec, s, trials=2, field=FIELD, seed=11)
         assert report.computed_dim == int(dims[s - 1])
+
+
+def _prime_above(bound):
+    p = bound + 1
+    while not is_prime(p):
+        p += 1
+    return p
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    cell=st.tuples(st.integers(1, 3), st.integers(1, 3), st.integers(1, 4), st.integers(1, 4)).filter(
+        lambda c: c[0] + c[1] <= 4 and c[2] + c[3] <= 5
+    ),
+    s_max=st.integers(1, 12),
+    trials=st.integers(1, 3),
+    small_prime=st.booleans(),
+    seed=st.integers(0, 2**16),
+)
+@example(cell=(1, 1, 2, 2), s_max=3, trials=3, small_prime=False, seed=0)
+@example(cell=(2, 1, 3, 1), s_max=5, trials=3, small_prime=False, seed=0)
+@example(cell=(1, 1, 2, 2), s_max=3, trials=3, small_prime=True, seed=1)
+@example(cell=(2, 1, 3, 1), s_max=5, trials=3, small_prime=True, seed=1)
+def test_early_stop_matches_full_loop(cell, s_max, trials, small_prime, seed):
+    # The tangent, affine and Veronese paths stop a trial at a full basis
+    # and skip trials once the max reaches min(ncols, s * point rank); the
+    # full loop on the same trial_rng streams runs everything.  Primes just
+    # above the Schwartz-Zippel bound make unlucky trials, so both the
+    # skipping and the running branch are taken.
+    n, m, a, b = cell
+    spec = SegreVeroneseSpec(n, m, a, b)
+    ncols = spec.N + 1
+    s_max = min(s_max, -(-ncols // (spec.dim + 1)) + 1)
+
+    def field_for(bound):
+        return PrimeField(_prime_above(bound)) if small_prime else PrimeField(DEFAULT_PRIME)
+
+    field = field_for(min(ncols, s_max * (spec.dim + 1)) * (a + b - 1))
+    p = field.p
+    alphas, betas = exponent_vectors(a, n + 1), exponent_vectors(b, m + 1)
+
+    def tangent_at(rng):
+        x = sample_point(n, field, rng)
+        y = sample_point(m, field, rng)
+        return tangent_block(alphas, betas, x, y, p)
+
+    full = full_rank_profile(ncols, field, s_max, trials, lambda t: trial_rng(spec, seed, t, p, 0), tangent_at)
+    dims = dimension_profile(spec, s_max, trials=trials, field=field, seed=seed)
+    assert dims.tolist() == [r - 1 for r in full]
+
+    scheme = AffineSchemeSpec(n, m, a, b, s_max)
+    gammas = split_exponent_array(spec)
+    full = full_rank_profile(
+        ncols, field, s_max, trials, lambda t: trial_rng(spec, seed, t, p, 1),
+        lambda rng: gradient_rows(gammas, sample_generic_point(scheme, field, rng), p)[1],
+    )
+    report = secant_dimension_via_reduction(spec, s_max, trials=trials, field=field, seed=seed)
+    assert report.computed_dim == full[-1] - 1
+
+    # The plain Veronese of degree a on P^n, stream key (n, 0, a, 0).
+    key = SimpleNamespace(n=n, m=0, a=a, b=0)
+    cols = comb(n + a, n)
+    field = field_for(min(cols, s_max * (n + 1)) * (a - 1))
+    exps = exponent_vectors(a, n + 1)
+    full = full_rank_profile(
+        cols, field, s_max, trials, lambda t: trial_rng(key, seed, t, field.p, 2),
+        lambda rng: gradient_rows(exps, sample_point(n, field, rng), field.p)[1],
+    )
+    assert veronese_secant_dimension(n, a, s_max, trials=trials, field=field, seed=seed) == full[-1] - 1
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    p=st.sampled_from([2, 3, 5]),
+    ncols=st.integers(1, 8),
+    rows=st.integers(1, 3),
+    s_max=st.integers(1, 8),
+    trials=st.integers(1, 4),
+    seed=st.integers(0, 2**16),
+)
+def test_rank_profile_matches_full_loop_on_random_blocks(p, ncols, rows, s_max, trials, seed):
+    # Uniform blocks over a tiny field often add nothing, even one rank
+    # short of a full basis, and trials often fall short of the ceiling.
+    field = PrimeField(p)
+
+    def rng_for(trial):
+        return np.random.default_rng([seed, trial])
+
+    def block_at(rng):
+        return rng.integers(0, p, size=(rows, ncols))
+
+    full = full_rank_profile(ncols, field, s_max, trials, rng_for, block_at)
+    assert rank_profile(ncols, rows, field, s_max, trials, rng_for, block_at).tolist() == full
+
+
+def test_early_stop_absorbs_only_needed_blocks(monkeypatch):
+    absorbed = []
+    original = RankAccumulator.absorb
+
+    def counting(acc, block):
+        absorbed.append(block)
+        return original(acc, block)
+
+    monkeypatch.setattr(RankAccumulator, "absorb", counting)
+    # Nondefective: the first trial reaches min(30, 4s) at every s and fills
+    # the basis at its 8th block, so nothing else is drawn.
+    dimension_profile(SegreVeroneseSpec(2, 1, 3, 2), 10, trials=3, field=FIELD)
+    assert len(absorbed) == 8
+    # Defective at s = 5 (rank 19 of 20): every trial runs every block.
+    absorbed.clear()
+    dimension_profile(SegreVeroneseSpec(2, 1, 3, 1), 5, trials=3, field=FIELD)
+    assert len(absorbed) == 3 * 5
