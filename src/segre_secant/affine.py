@@ -17,7 +17,7 @@ evaluation row.  Then
     dim sigma_s     = N - ideal dimension,
 
 an independent second computation path for every secant dimension.  Like
-the tangent path, its Monte-Carlo trials stream one double point per block
+the tangent path, its Monte-Carlo trials stream panels of double points
 through ``terracini.rank_profile``; only ``ideal_dimension``, which also
 serves reduced points, ranks a whole condition matrix in one shot.
 
@@ -32,13 +32,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .field import ConditionMatrix, PrimeField, SizingError, rank, sample_point
+from .field import ConditionMatrix, PrimeField, rank, sample_point
 from .monomials import gradient_rows, split_exponent_array
 from .terracini import (
     DEFAULT_MEMORY_BUDGET,
     SecantReport,
     SegreVeroneseSpec,
+    check_memory_budget,
     check_prime_bound,
+    panel_rows,
     rank_profile,
     trial_rng,
 )
@@ -111,30 +113,16 @@ def condition_matrix(
         field = PrimeField()
     gammas = split_exponent_array(scheme.embedding)
     nvars = scheme.n + scheme.m + 1
-    rows = []
-    for point in double_points:
-        point = np.asarray(point, dtype=np.int64)
-        if point.shape != (nvars,):
-            raise ValueError(f"double point must have {nvars} coordinates, got {point.shape}")
-        rows.append(gradient_rows(gammas, point, field.p)[1])
-    for point in simple_points:
-        point = np.asarray(point, dtype=np.int64)
-        if point.shape != (nvars,):
-            raise ValueError(f"simple point must have {nvars} coordinates, got {point.shape}")
-        rows.append(gradient_rows(gammas, point, field.p)[0][None, :])
-    if not rows:
-        entries = np.zeros((0, gammas.shape[0]), dtype=np.int64)
-    else:
-        entries = np.vstack(rows)
-    return ConditionMatrix(entries, field)
-
-
-def _check_budget(scheme: AffineSchemeSpec, ncols: int, memory_budget: int) -> None:
-    entries = ncols * (scheme.s * (scheme.n + scheme.m + 1) + scheme.simple_points)
-    if entries > memory_budget:
-        raise SizingError(
-            f"condition matrix for {scheme} needs {entries} entries, budget is {memory_budget}"
-        )
+    blocks = [np.zeros((0, gammas.shape[0]), dtype=np.int64)]
+    for kind, points in (("double", double_points), ("simple", simple_points)):
+        points = [np.asarray(point, dtype=np.int64) for point in points]
+        for point in points:
+            if point.shape != (nvars,):
+                raise ValueError(f"{kind} point must have {nvars} coordinates, got {point.shape}")
+        if points:
+            values, partials = gradient_rows(gammas, np.array(points), field.p)
+            blocks.append(partials.reshape(-1, gammas.shape[0]) if kind == "double" else values)
+    return ConditionMatrix(np.vstack(blocks), field)
 
 
 def ideal_dimension(
@@ -151,7 +139,8 @@ def ideal_dimension(
     if field is None:
         field = PrimeField()
     ncols = scheme.embedding.N + 1
-    _check_budget(scheme, ncols, memory_budget)
+    rows = scheme.s * (scheme.n + scheme.m + 1) + scheme.simple_points
+    check_memory_budget(f"condition matrix for {scheme}", ncols, rows, 0, memory_budget)
     rng = trial_rng(scheme.embedding, seed, 0, field.p, _METHOD_AFFINE)
     doubles = [sample_generic_point(scheme, field, rng) for _ in range(scheme.s)]
     simples = [sample_generic_point(scheme, field, rng) for _ in range(scheme.simple_points)]
@@ -168,20 +157,28 @@ def secant_dimension_via_reduction(
 ) -> SecantReport:
     """dim sigma_s computed as N minus the ideal dimension in P^(n+m).
 
-    Each trial streams the double-point conditions, one point per block,
-    through ``rank_profile``; random evaluation can only overestimate the
-    ideal dimension, so its minimum over trials (the max rank) is the right
-    aggregator, and N - (|split basis| - rank) = rank - 1.
+    Each trial streams the double-point conditions, a panel of points at a
+    time, through ``rank_profile``; random evaluation can only overestimate
+    the ideal dimension, so its minimum over trials (the max rank) is the
+    right aggregator, and N - (|split basis| - rank) = rank - 1.
     """
     if field is None:
         field = PrimeField()
     check_prime_bound(spec, s, field.p)
     scheme = AffineSchemeSpec(spec.n, spec.m, spec.a, spec.b, s)
-    _check_budget(scheme, spec.N + 1, memory_budget)
+    nvars = spec.dim + 1
+    check_memory_budget(
+        f"affine rank profile for {scheme}", spec.N + 1, panel_rows(nvars, s), s, memory_budget
+    )
     gammas = split_exponent_array(spec)
+
+    def panel_at(rng: np.random.Generator, k: int) -> np.ndarray:
+        points = np.array([sample_generic_point(scheme, field, rng) for _ in range(k)])
+        return gradient_rows(gammas, points, field.p)[1].reshape(k * nvars, -1)
+
     ranks = rank_profile(
-        gammas.shape[0], spec.dim + 1, field, s, trials,
+        gammas.shape[0], nvars, nvars, field, s, trials,
         lambda trial: trial_rng(spec, seed, trial, field.p, _METHOD_AFFINE),
-        lambda rng: gradient_rows(gammas, sample_generic_point(scheme, field, rng), field.p)[1],
+        panel_at,
     )
     return SecantReport.measured(spec, s, int(ranks[-1]) - 1, field, seed, trials, "affine-reduction")

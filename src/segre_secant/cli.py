@@ -23,8 +23,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import ctypes
-import glob
 import json
 import os
 import sys
@@ -35,7 +33,7 @@ from fractions import Fraction
 import numpy as np
 
 from .affine import GenericityError, secant_dimension_via_reduction
-from .field import DEFAULT_PRIME, SECOND_PRIME, PrimeField, SizingError
+from .field import DEFAULT_PRIME, SECOND_PRIME, PrimeField, SizingError, _openblas_thread_calls
 from .grassmann import check_corollary
 from .induction import replay_main_theorem
 from .numerology import classify, closed_form_e, closed_form_estar, expected_dimension, invariants
@@ -248,45 +246,16 @@ def _verify_cell(job) -> dict:
         return {"cell": (n, m, a, b), "error": str(exc)}
 
 
-#: (set, get) thread-count symbols: numpy's bundled scipy-openblas first,
-#: then a system OpenBLAS.
-_OPENBLAS_SYMBOLS = (
-    ("scipy_openblas_set_num_threads64_", "scipy_openblas_get_num_threads64_"),
-    ("openblas_set_num_threads", "openblas_get_num_threads"),
-)
-
-
-def _openblas_thread_calls():
-    """(set, get) thread-count functions of an OpenBLAS already loaded, or None.
-
-    Looks in numpy's wheel library directory and for the system soname,
-    opening only a library numpy has already loaded (RTLD_NOLOAD).
-    """
-    libdir = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs")
-    for path in sorted(glob.glob(os.path.join(libdir, "*openblas*"))) + ["libopenblas.so.0"]:
-        try:
-            lib = ctypes.CDLL(path, mode=getattr(os, "RTLD_NOLOAD", 0))
-        except OSError:
-            continue
-        for set_name, get_name in _OPENBLAS_SYMBOLS:
-            set_threads = getattr(lib, set_name, None)
-            get_threads = getattr(lib, get_name, None)
-            if set_threads is not None and get_threads is not None:
-                set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
-                get_threads.argtypes, get_threads.restype = [], ctypes.c_int
-                return set_threads, get_threads
-    return None
-
-
 def _pin_blas_threads() -> None:
     """Runs OpenBLAS on one thread in this process; does nothing without it.
 
     Parallelism comes from --jobs, one cell per core: OpenBLAS threads in
     the parent and in each pool worker would compete for the same cores.
-    Only processes the CLI owns call this, never a library function.  A
-    worker forked from a pinned parent already runs on one thread and is
-    left alone: in a forked child any set call restarts OpenBLAS's thread
-    pool, whose new threads spin-wait before they sleep.
+    The engine's own scope (``field.one_blas_thread``) then finds one
+    thread and makes no call.  A worker forked from a pinned parent already
+    runs on one thread and is left alone: in a forked child any set call
+    restarts OpenBLAS's thread pool, whose new threads spin-wait before
+    they sleep.
     """
     calls = _openblas_thread_calls()
     if calls is not None:

@@ -15,10 +15,19 @@ product over at most MAX_PRODUCT_TERMS = 2047 terms stays below
 each reduced mod p before the next is added.  The basis size therefore
 does not enter the exactness bound; RankAccumulator still refuses a basis
 of MAX_BASIS_ROWS rows or more.
+
+Those products are small, so OpenBLAS threads only add contention:
+``one_blas_thread`` runs a computation on one thread and restores the
+caller's thread count afterwards; ``terracini.rank_profile`` runs in it.
 """
 
 from __future__ import annotations
 
+import contextlib
+import ctypes
+import functools
+import glob
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -96,6 +105,62 @@ class PrimeField:
 
 class SizingError(ValueError):
     """A requested condition matrix exceeds the configured memory budget."""
+
+
+#: (set, get) thread-count symbols: numpy's bundled scipy-openblas first,
+#: then a system OpenBLAS.
+_OPENBLAS_SYMBOLS = (
+    ("scipy_openblas_set_num_threads64_", "scipy_openblas_get_num_threads64_"),
+    ("openblas_set_num_threads", "openblas_get_num_threads"),
+)
+
+
+@functools.cache
+def _openblas_thread_calls():
+    """(set, get) thread-count functions of an OpenBLAS already loaded, or None.
+
+    Looks in numpy's wheel library directory and for the system soname,
+    opening only a library numpy has already loaded (RTLD_NOLOAD).  The
+    lookup is done once per process; a forked child shares the library.
+    """
+    libdir = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs")
+    for path in sorted(glob.glob(os.path.join(libdir, "*openblas*"))) + ["libopenblas.so.0"]:
+        try:
+            lib = ctypes.CDLL(path, mode=getattr(os, "RTLD_NOLOAD", 0))
+        except OSError:
+            continue
+        for set_name, get_name in _OPENBLAS_SYMBOLS:
+            set_threads = getattr(lib, set_name, None)
+            get_threads = getattr(lib, get_name, None)
+            if set_threads is not None and get_threads is not None:
+                set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
+                get_threads.argtypes, get_threads.restype = [], ctypes.c_int
+                return set_threads, get_threads
+    return None
+
+
+@contextlib.contextmanager
+def one_blas_thread():
+    """Runs the body with OpenBLAS on one thread; does nothing without it.
+
+    The kernel multiplies a panel of rows against the basis, products small
+    enough that threads cost more CPU than they save wall time.  The count
+    is set only
+    if it is not 1 already, and restored on exit, exceptions included: in
+    a forked child any set call restarts OpenBLAS's thread pool, so a
+    process that already runs on one thread makes no call at all.
+    """
+    calls = _openblas_thread_calls()
+    before = 1 if calls is None else calls[1]()
+    if before == 1:
+        yield
+        return
+    set_threads = calls[0]
+    set_threads(1)
+    try:
+        yield
+    finally:
+        set_threads(before)
 
 
 def sample_point(dim: int, field: PrimeField, rng: np.random.Generator) -> np.ndarray:
@@ -182,9 +247,13 @@ class RankAccumulator:
     """Incremental rank of a growing stack of rows over F_p.
 
     The one elimination kernel of the package: a one-shot ``rank`` is a
-    single ``absorb``, and a nested point stream absorbs one block per
-    point, so the dimensions of sigma_1, ..., sigma_s for one spec cost one
-    elimination instead of s.
+    single ``absorb``, and a nested point stream absorbs a panel of point
+    blocks at a time, so the dimensions of sigma_1, ..., sigma_s for one
+    spec cost one elimination instead of s.  ``pivot_rows`` holds the
+    positions, in increasing order, of the last block's rows that became
+    pivots (each is outside the span of the basis and the rows before it):
+    the row rank profile, from which the rank after any prefix of the
+    block follows.
 
     The basis is kept reduced and compressed as ``[I | E]``: the pivot
     column of each row, the free (non-pivot) columns, and ``E``, the rows
@@ -215,6 +284,7 @@ class RankAccumulator:
         # Positions in _free of the last absorb's pivots, and its new rows.
         self._new_cols: list[int] = []
         self._new_rows = np.empty((0, ncols), dtype=np.int64)
+        self.pivot_rows = np.empty(0, dtype=np.int64)
 
     @property
     def rank(self) -> int:
@@ -235,7 +305,8 @@ class RankAccumulator:
         for j in range(1, len(cols)):
             col = cols[j]
             above = N[:j, col]
-            if above.any():
+            # count_nonzero skips the Python layer of ndarray.any.
+            if np.count_nonzero(above):
                 N[:j, col:] = (N[:j, col:] - above[:, None] * N[j, col:]) % p
         keep = np.ones(self._free.size, dtype=bool)
         keep[cols] = False
@@ -265,7 +336,10 @@ class RankAccumulator:
         self._new_cols = []
 
     def absorb(self, block) -> int:
-        """Absorb a block of rows; returns the rank of everything so far."""
+        """Absorb a block of rows; returns the rank of everything so far.
+
+        Also sets ``pivot_rows`` to the block's rows that became pivots.
+        """
         p = self.field.p
         B = np.atleast_2d(np.asarray(block, dtype=np.int64)) % p
         if B.shape[1] != self.ncols:
@@ -292,12 +366,13 @@ class RankAccumulator:
             # Left of its first nonzero column the row is zero, so every
             # update below touches only the columns from the pivot on.
             col = int(nz[0])
-            R[i, col:] = R[i, col:] * pow(int(R[i, col]), -1, p) % p
+            R[i, col:] = R[i, col:] * pow(R.item(i, col), -1, p) % p
             new.append(i)
             cols.append(col)
             self._rank += 1
             below = R[i + 1 :, col]
-            if below.any():
+            if np.count_nonzero(below):
                 R[i + 1 :, col:] = (R[i + 1 :, col:] - below[:, None] * R[i, col:]) % p
         self._new_cols, self._new_rows = cols, R[new]
+        self.pivot_rows = np.array(new, dtype=np.int64)
         return self._rank

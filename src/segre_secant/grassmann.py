@@ -31,7 +31,9 @@ from .numerology import classify
 from .terracini import (
     DEFAULT_MEMORY_BUDGET,
     SegreVeroneseSpec,
+    check_memory_budget,
     check_prime_bound,
+    panel_rows,
     rank_profile,
     secant_dimension,
     trial_rng,
@@ -100,13 +102,12 @@ def veronese_tangent_matrix(n: int, a: int, points, field: PrimeField) -> Condit
     generic point (the Euler relation only ties them to the value row).
     """
     exps = exponent_vectors(a, n + 1)
-    blocks = []
+    points = [np.asarray(x, dtype=np.int64) for x in points]
     for x in points:
-        x = np.asarray(x, dtype=np.int64)
         if x.shape != (n + 1,):
             raise ValueError(f"point must have {n + 1} coordinates, got {x.shape}")
-        blocks.append(gradient_rows(exps, x, field.p)[1])
-    return ConditionMatrix(np.vstack(blocks), field)
+    points = np.array(points, dtype=np.int64).reshape(len(points), n + 1)
+    return ConditionMatrix(gradient_rows(exps, points, field.p)[1].reshape(-1, exps.shape[0]), field)
 
 
 def veronese_secant_dimension(
@@ -116,6 +117,7 @@ def veronese_secant_dimension(
     trials: int = 3,
     field: PrimeField | None = None,
     seed: int = 0,
+    memory_budget: int = DEFAULT_MEMORY_BUDGET,
 ) -> int:
     """Monte-Carlo dim of the s-th secant of the degree-a Veronese of P^n."""
     if field is None:
@@ -124,11 +126,20 @@ def veronese_secant_dimension(
     # small-prime bound min(C(n+a, n), s(n+1)) * (a-1) < p.
     key_spec = SimpleNamespace(n=n, m=0, a=a, b=0, N=comb(n + a, n) - 1, dim=n)
     check_prime_bound(key_spec, s, field.p)
+    check_memory_budget(
+        f"Veronese rank profile for n={n}, a={a} with s={s}", key_spec.N + 1,
+        panel_rows(n + 1, s), s, memory_budget,
+    )
     exps = exponent_vectors(a, n + 1)
+
+    def panel_at(rng: np.random.Generator, k: int) -> np.ndarray:
+        points = np.array([sample_point(n, field, rng) for _ in range(k)])
+        return gradient_rows(exps, points, field.p)[1].reshape(k * (n + 1), -1)
+
     ranks = rank_profile(
-        exps.shape[0], n + 1, field, s, trials,
+        exps.shape[0], n + 1, n + 1, field, s, trials,
         lambda trial: trial_rng(key_spec, seed, trial, field.p, _METHOD_VERONESE),
-        lambda rng: gradient_rows(exps, sample_point(n, field, rng), field.p)[1],
+        panel_at,
     )
     return int(ranks[-1]) - 1
 
@@ -161,7 +172,8 @@ def grassmann_defect(
         )
     if query.k == 0:
         computed = veronese_secant_dimension(
-            query.n, query.a, query.s, trials=trials, field=field, seed=seed
+            query.n, query.a, query.s, trials=trials, field=field, seed=seed,
+            memory_budget=memory_budget,
         )
         defect = min(query.N, query.s * (query.n + 1) - 1) - computed
     else:

@@ -19,8 +19,8 @@ stable across runs; every matrix in the package orders its columns this
 way, bigraded columns alpha-major.
 
 ``gradient_rows`` is the one evaluator of monomials and their first
-partial derivatives at a point; the tangent, affine and Veronese condition
-matrices are all assembled from it.
+partial derivatives, at one point or at a panel of points in one call; the
+tangent, affine and Veronese condition matrices are all assembled from it.
 """
 
 from __future__ import annotations
@@ -50,32 +50,40 @@ def exponent_vectors(degree: int, nvars: int) -> np.ndarray:
     return np.ascontiguousarray((np.diff(edges, axis=1) - 1)[::-1])
 
 
-def gradient_rows(exps: np.ndarray, point, p: int) -> tuple[np.ndarray, np.ndarray]:
-    """Values and first partials of the monomials z^e at one point, mod p.
+def gradient_rows(exps: np.ndarray, points, p: int) -> tuple[np.ndarray, np.ndarray]:
+    """Values and first partials of the monomials z^e at points, mod p.
 
-    ``exps`` holds one exponent vector per row and ``point`` one coordinate
-    per column of ``exps``.  Returns ``(values, partials)`` with
-    values[k] = z^exps[k] and partials[i, k] = d(z^exps[k])/dz_i, reduced
+    ``exps`` holds one exponent vector per row.  ``points`` is one point,
+    with one coordinate per column of ``exps``, or a (k, nvars) array of k
+    points evaluated at once.  For one point, returns ``(values, partials)``
+    with values[j] = z^exps[j] and partials[i, j] = d(z^exps[j])/dz_i; for k
+    points, the same with a leading axis of length k.  Entries are reduced
     to [0, p).  Every product is reduced before the next, so p < 2**31
     keeps each intermediate inside int64.
     """
     nmon, nvars = exps.shape
-    z = np.asarray(point, dtype=np.int64) % p
-    table = np.ones((nvars, int(exps.max()) + 1), dtype=np.int64)
-    for k in range(1, table.shape[1]):
-        table[:, k] = table[:, k - 1] * z % p
+    z = np.asarray(points, dtype=np.int64) % p
+    single = z.ndim == 1
+    z = np.atleast_2d(z)
+    k = z.shape[0]
+    table = np.ones((k, nvars, int(exps.max()) + 1), dtype=np.int64)
+    for d in range(1, table.shape[2]):
+        table[:, :, d] = table[:, :, d - 1] * z % p
     var = np.arange(nvars)[:, None]
-    powers = table[var, exps.T]
-    lowered = exps.T % p * table[var, np.maximum(exps.T - 1, 0)] % p
-    # prefix[i] (suffix[i + 1]) is the product of the factors before (after)
-    # variable i, so partial i is prefix[i] * lowered[i] * suffix[i + 1].
-    prefix = np.ones((nvars + 1, nmon), dtype=np.int64)
-    suffix = np.ones((nvars + 1, nmon), dtype=np.int64)
-    for i in range(nvars):
-        prefix[i + 1] = prefix[i] * powers[i] % p
-        suffix[nvars - 1 - i] = suffix[nvars - i] * powers[nvars - 1 - i] % p
-    partials = prefix[:-1] * lowered % p * suffix[1:] % p
-    return prefix[nvars], partials
+    # factors[:, i, l] is variable l's factor of the partial in z_i, without
+    # its exponent (lowered by one where l = i), and factors[:, nvars, l]
+    # its factor of the monomial itself; a product over l gives both.
+    powers = table[:, var, exps.T]
+    factors = np.repeat(powers[:, None], nvars + 1, axis=1)
+    factors[:, var[:, 0], var[:, 0]] = table[:, var, np.maximum(exps.T - 1, 0)]
+    product = factors[:, :, 0]
+    for v in range(1, nvars):
+        product = product * factors[:, :, v] % p
+    partials = product[:, :nvars] * (exps.T % p) % p
+    values = product[:, nvars]
+    if single:
+        return values[0], partials[0]
+    return values, partials
 
 
 def _validate(spec) -> tuple[int, int, int, int]:

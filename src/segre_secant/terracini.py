@@ -20,6 +20,13 @@ Random evaluation over F_p can only underestimate the generic rank
 (semicontinuity), which is why dimensions are aggregated as the max over
 trials and why any disagreement with the closed-form classification is a
 reportable event, never silently resolved.
+
+``rank_profile`` is the one Monte-Carlo loop of the package, shared by the
+tangent, affine and Veronese paths.  It draws the points of a trial in
+panels of consecutive points, evaluates each panel's rows in one call and
+absorbs them in one ``RankAccumulator.absorb``; the rows of the panel that
+became pivots give the rank after each of its points.  The loop runs with
+OpenBLAS on one thread (``field.one_blas_thread``).
 """
 
 from __future__ import annotations
@@ -35,12 +42,19 @@ from .field import (
     PrimeField,
     RankAccumulator,
     SizingError,
+    one_blas_thread,
     sample_point,
 )
 from .monomials import exponent_vectors, gradient_rows
 
 #: Largest number of matrix entries a single dimension query may allocate.
 DEFAULT_MEMORY_BUDGET = 2**25
+
+#: Most rows ``rank_profile`` absorbs in one panel.  The int64 row walk of a
+#: panel costs about rows**2 * ncols: on a 2-core Xeon, 24 to 48 rows timed
+#: alike on the default verify grid, and 64 rows made the (4, 1, 5, 5) cell
+#: about 25% slower than 32.
+PANEL_ROWS = 32
 
 #: Recorded in every report so runs are reproducible across machines.
 RNG_DESCRIPTION = (
@@ -163,13 +177,24 @@ def trial_rng(spec, seed: int, trial: int, prime: int, method_id: int = _METHOD_
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=key))
 
 
-def _check_budget(spec: SegreVeroneseSpec, s: int, memory_budget: int) -> None:
-    entries = (spec.N + 1) * s * (spec.n + spec.m + 2)
+def panel_rows(rows_per_point: int, s_max: int) -> int:
+    """Rows of the largest panel ``rank_profile`` absorbs for s_max points."""
+    return min(s_max, max(1, PANEL_ROWS // rows_per_point)) * rows_per_point
+
+
+def check_memory_budget(what: str, ncols: int, block_rows: int, profile: int, memory_budget: int) -> None:
+    """Refuses a rank computation whose arrays would exceed the budget.
+
+    Counts what runs, in matrix entries: the block of ``block_rows`` rows
+    absorbed at once (``panel_rows`` for a rank profile), the accumulator's
+    three float64 buffers of at most ncols**2 / 4 entries each, and three
+    int64 arrays of ``profile`` entries for a rank profile of that length
+    (0 for a one-shot rank), so a huge s is refused before anything runs.
+    ``what`` names the computation in the error.
+    """
+    entries = block_rows * ncols + 3 * (ncols * ncols // 4) + 3 * profile
     if entries > memory_budget:
-        raise SizingError(
-            f"tangent matrix for {spec} with s={s} needs {entries} entries, "
-            f"budget is {memory_budget}"
-        )
+        raise SizingError(f"{what} needs {entries} entries, budget is {memory_budget}")
 
 
 def check_prime_bound(spec: SegreVeroneseSpec, s: int, p: int) -> None:
@@ -189,15 +214,20 @@ def check_prime_bound(spec: SegreVeroneseSpec, s: int, p: int) -> None:
 
 
 def tangent_block(alphas: np.ndarray, betas: np.ndarray, x: np.ndarray, y: np.ndarray, p: int) -> np.ndarray:
-    """The n+m+2 gradient rows of the monomial map at one point (x, y).
+    """The n+m+2 gradient rows of the monomial map at each point (x, y).
 
-    Row order: the n+1 partials in the x variables, then the m+1 partials in
-    the y variables.  Columns are alpha-major over (alphas, betas).
+    ``x`` and ``y`` are one point's coordinate vectors, or (k, n+1) and
+    (k, m+1) arrays of k points whose blocks are stacked in point order.
+    Row order within a block: the n+1 partials in the x variables, then
+    the m+1 partials in the y variables.  Columns are alpha-major over
+    (alphas, betas).
     """
-    vx, dx = gradient_rows(alphas, x, p)
-    vy, dy = gradient_rows(betas, y, p)
-    rows = np.concatenate([dx[:, :, None] * vy[None, None, :], vx[None, :, None] * dy[:, None, :]])
-    return (rows % p).reshape(rows.shape[0], -1)
+    vx, dx = gradient_rows(alphas, np.atleast_2d(x), p)
+    vy, dy = gradient_rows(betas, np.atleast_2d(y), p)
+    rows = np.concatenate(
+        [dx[:, :, :, None] * vy[:, None, None, :], vx[:, None, :, None] * dy[:, :, None, :]], axis=1
+    )
+    return (rows % p).reshape(-1, alphas.shape[0] * betas.shape[0])
 
 
 def _validated_points(spec: SegreVeroneseSpec, points) -> list[tuple[np.ndarray, np.ndarray]]:
@@ -228,50 +258,77 @@ def tangent_matrix(spec: SegreVeroneseSpec, points, field: PrimeField) -> Condit
     pts = _validated_points(spec, points)
     alphas = exponent_vectors(spec.a, spec.n + 1)
     betas = exponent_vectors(spec.b, spec.m + 1)
-    blocks = [tangent_block(alphas, betas, x, y, field.p) for x, y in pts]
-    return ConditionMatrix(np.vstack(blocks), field)
+    xs = np.array([x for x, _ in pts])
+    ys = np.array([y for _, y in pts])
+    return ConditionMatrix(tangent_block(alphas, betas, xs, ys, field.p), field)
 
 
 def rank_profile(
-    ncols: int, point_rank: int, field: PrimeField, s_max: int, trials: int, rng_for, block_at, s_name: str = "s"
+    ncols: int,
+    point_rank: int,
+    rows_per_point: int,
+    field: PrimeField,
+    s_max: int,
+    trials: int,
+    rng_for,
+    panel_at,
+    s_name: str = "s",
 ) -> np.ndarray:
-    """Rank after each of s_max sampled blocks, the elementwise max over trials.
+    """Rank after each of s_max sampled points, the elementwise max over trials.
 
-    Trial t draws its blocks as block_at(rng_for(t)) and streams them through
-    one fresh incremental rank accumulator (a nested point stream), so entry
-    s - 1 is the rank of s stacked blocks.  Absorbing a block draws nothing,
-    so each stream sees the same draws as sampling all points up front.
+    Trial t streams its points through one fresh incremental rank
+    accumulator (a nested point stream), so entry s - 1 is the rank of the
+    rows of s points.  ``panel_at(rng, k)`` draws the next k points from
+    the trial's stream rng_for(t) and returns their rows, ``rows_per_point``
+    per point, stacked in draw order; absorbing draws nothing, so each
+    stream sees the same draws as sampling all points up front.  The rank
+    after each point of a panel comes from the rows that became pivots
+    (``RankAccumulator.pivot_rows``).
 
-    ``point_rank`` bounds the rank of every block at every point, so the
-    rank of s blocks is at most ceiling[s - 1] = min(ncols, s * point_rank).
+    ``point_rank`` bounds the rank of every point's rows at every point, so
+    the rank of s points is at most ceiling[s - 1] = min(ncols, s * point_rank).
     For tangent blocks it is n + m + 1, not the n + m + 2 rows: the
     bigraded Euler relation b * sum x_i d/dx_i = a * sum y_j d/dy_j ties
     the rows at any point with x_0 = 1, because p > a + b (which
     ``check_prime_bound`` implies) keeps a and b nonzero mod p.  Random
     evaluation can only underestimate a rank, so the loop stops early
-    without changing the result: a trial draws no further block once its
+    without changing the result: a trial draws no further point once its
     rank is ncols, and no further trial runs once the running max equals
     the ceiling at every s.  Trials have their own streams, so skipping
-    draws in one never shifts another.  ``s_name`` names s_max in the
-    error raised when it is below 1.
+    draws in one never shifts another.
+
+    A panel holds min(points left, ceil((ncols - rank) / point_rank),
+    PANEL_ROWS // rows_per_point) points, at least one.  The middle term
+    is the fewest points that can fill the basis, so a panel never draws a
+    point that a trial absorbing one point at a time would not draw.
+
+    Callers size the run with ``check_memory_budget`` before they build
+    anything.  ``s_name`` names s_max in the error raised when it is
+    below 1.
     """
     if s_max < 1:
         raise ValueError(f"{s_name} must be >= 1, got {s_max}")
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
+    panel_points = panel_rows(rows_per_point, s_max) // rows_per_point
     ceiling = np.minimum(ncols, point_rank * np.arange(1, s_max + 1))
     best = np.zeros(s_max, dtype=np.int64)
-    for trial in range(trials):
-        rng = rng_for(trial)
-        acc = RankAccumulator(ncols, field)
-        ranks = np.full(s_max, ncols, dtype=np.int64)
-        for s in range(s_max):
-            ranks[s] = acc.absorb(block_at(rng))
-            if ranks[s] == ncols:
+    ends = rows_per_point * np.arange(1, panel_points + 1)
+    with one_blas_thread():
+        for trial in range(trials):
+            rng = rng_for(trial)
+            acc = RankAccumulator(ncols, field)
+            ranks = np.full(s_max, ncols, dtype=np.int64)
+            s = 0
+            while s < s_max and acc.rank < ncols:
+                k = min(s_max - s, -(-(ncols - acc.rank) // point_rank), panel_points)
+                before = acc.rank
+                acc.absorb(panel_at(rng, k))
+                ranks[s : s + k] = before + np.searchsorted(acc.pivot_rows, ends[:k])
+                s += k
+            np.maximum(best, ranks, out=best)
+            if np.array_equal(best, ceiling):
                 break
-        np.maximum(best, ranks, out=best)
-        if np.array_equal(best, ceiling):
-            break
     return best
 
 
@@ -291,19 +348,25 @@ def dimension_profile(
     if field is None:
         field = PrimeField(DEFAULT_PRIME)
     check_prime_bound(spec, s_max, field.p)
-    _check_budget(spec, s_max, memory_budget)
+    check_memory_budget(
+        f"tangent rank profile for {spec} with s={s_max}", spec.N + 1,
+        panel_rows(spec.dim + 2, s_max), s_max, memory_budget,
+    )
     alphas = exponent_vectors(spec.a, spec.n + 1)
     betas = exponent_vectors(spec.b, spec.m + 1)
 
-    def block_at(rng: np.random.Generator) -> np.ndarray:
-        x = sample_point(spec.n, field, rng)
-        y = sample_point(spec.m, field, rng)
+    def panel_at(rng: np.random.Generator, k: int) -> np.ndarray:
+        x = np.empty((k, spec.n + 1), dtype=np.int64)
+        y = np.empty((k, spec.m + 1), dtype=np.int64)
+        for i in range(k):
+            x[i] = sample_point(spec.n, field, rng)
+            y[i] = sample_point(spec.m, field, rng)
         return tangent_block(alphas, betas, x, y, field.p)
 
     ranks = rank_profile(
-        alphas.shape[0] * betas.shape[0], spec.dim + 1, field, s_max, trials,
+        alphas.shape[0] * betas.shape[0], spec.dim + 1, spec.dim + 2, field, s_max, trials,
         lambda trial: trial_rng(spec, seed, trial, field.p, _METHOD_TANGENT),
-        block_at, s_name="s_max",
+        panel_at, s_name="s_max",
     )
     return ranks - 1
 

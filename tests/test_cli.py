@@ -188,6 +188,17 @@ def test_verify_discrepancy_exit_code(capsys, monkeypatch):
     assert json.loads(out)["summary"]["discrepancies"] > 0
 
 
+def test_huge_s_is_refused_before_sampling(capsys):
+    # The profile holds three arrays of s entries, so s = 10**9 exceeds the
+    # default budget and exits at once instead of allocating or looping.
+    code, out, err = run(
+        capsys,
+        ["dim", "--n", "1", "--m", "1", "--a", "1", "--b", "1", "--s", "1000000000"],
+    )
+    assert code == EXIT_USAGE and out == ""
+    assert "s=1000000000" in err and "budget is" in err
+
+
 def test_verify_cell_error_exits_one(capsys):
     # A sizing error inside a cell is a usage error, as for dim, not a
     # mathematical discrepancy; the payload still counts it.

@@ -279,3 +279,32 @@ def test_rank_accumulator_enforces_basis_row_bound(monkeypatch):
     assert acc.absorb(np.eye(3, 5, dtype=np.int64)) == 3
     with pytest.raises(SizingError, match="3 rows"):
         acc.absorb(np.eye(5, dtype=np.int64)[3:])
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([2, 3, 101, DEFAULT_PRIME]), st.integers(1, 10), st.data())
+def test_pivot_rows_are_the_row_rank_profile(p, ncols, data):
+    # Row j of a block is a pivot exactly when it raises the rank of
+    # everything before it.  Span rows combine all earlier rows, those of
+    # the same block included, so a block's rows also depend on each other.
+    acc = RankAccumulator(ncols, PrimeField(p))
+    entries = st.integers(0, p - 1)
+    stacked = []
+    for _ in range(data.draw(st.integers(1, 5))):
+        block = []
+        for kind in data.draw(st.lists(st.sampled_from(["random", "zero", "span"]), max_size=6)):
+            earlier = stacked + block
+            if kind == "random":
+                row = data.draw(st.lists(entries, min_size=ncols, max_size=ncols))
+            elif kind == "span" and earlier:
+                coeffs = data.draw(st.lists(entries, min_size=len(earlier), max_size=len(earlier)))
+                row = [sum(c * r[j] for c, r in zip(coeffs, earlier)) % p for j in range(ncols)]
+            else:
+                row = [0] * ncols
+            block.append(row)
+        acc.absorb(np.array(block, dtype=np.int64).reshape(len(block), ncols))
+        prefix_ranks = [modular_rank(stacked + block[:j], p) for j in range(len(block) + 1)]
+        expected = [j for j in range(len(block)) if prefix_ranks[j + 1] > prefix_ranks[j]]
+        assert acc.pivot_rows.tolist() == expected
+        stacked.extend(block)
+        assert acc.rank == modular_rank(stacked, p)

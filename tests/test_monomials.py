@@ -190,3 +190,35 @@ def test_tangent_block_matches_integer_evaluation(n, m, a, b, data, p):
     exact = integer_tangent_matrix(n, m, a, b, [(x, y)])
     # the oracle's columns run in ascending lex order, the package's descending
     assert block[:, ::-1].tolist() == [[v % p for v in row] for row in exact]
+
+
+@settings(max_examples=50, deadline=None)
+@given(_exponents_and_point(), st.integers(0, 5), st.data(), PRIMES)
+def test_vectorized_gradient_rows_equal_per_point_calls(case, k, data, p):
+    # A (k, nvars) array of points is k one-point evaluations stacked on a
+    # leading axis, k = 0 included.
+    rows, _ = case
+    exps = np.array(rows, dtype=np.int64)
+    nvars = exps.shape[1]
+    points = np.array(
+        data.draw(st.lists(st.lists(COORD, min_size=nvars, max_size=nvars), min_size=k, max_size=k)),
+        dtype=np.int64,
+    ).reshape(k, nvars)
+    values, partials = gradient_rows(exps, points, p)
+    assert values.shape == (k, exps.shape[0])
+    assert partials.shape == (k, nvars, exps.shape[0])
+    for i in range(k):
+        one_values, one_partials = gradient_rows(exps, points[i], p)
+        assert np.array_equal(values[i], one_values)
+        assert np.array_equal(partials[i], one_partials)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(1, 3), st.integers(1, 3), st.integers(1, 4), st.integers(1, 4), st.integers(1, 4), st.data(), PRIMES)
+def test_tangent_block_of_a_panel_stacks_point_blocks(n, m, a, b, k, data, p):
+    xs = np.array(data.draw(st.lists(st.lists(COORD, min_size=n + 1, max_size=n + 1), min_size=k, max_size=k)))
+    ys = np.array(data.draw(st.lists(st.lists(COORD, min_size=m + 1, max_size=m + 1), min_size=k, max_size=k)))
+    alphas, betas = exponent_vectors(a, n + 1), exponent_vectors(b, m + 1)
+    panel = tangent_block(alphas, betas, xs, ys, p)
+    blocks = [tangent_block(alphas, betas, x, y, p) for x, y in zip(xs, ys)]
+    assert np.array_equal(panel, np.vstack(blocks))

@@ -30,9 +30,10 @@ from segre_secant.affine import (
     secant_dimension_via_reduction,
 )
 from segre_secant.monomials import exponent_vectors, gradient_rows, split_exponent_array
+from segre_secant import field as field_module, terracini
 from segre_secant.terracini import rank_profile, tangent_block, trial_rng
 
-from oracles import chart_point, full_rank_profile
+from oracles import chart_point, full_rank_profile, integer_tangent_matrix, rational_rank
 
 FIELD = PrimeField(DEFAULT_PRIME)
 
@@ -231,6 +232,11 @@ def test_single_s_query_consistent_with_profile():
         assert report.computed_dim == int(dims[s - 1])
 
 
+def _panel_of(block_at):
+    """A panel callback drawing k points through a one-point callback."""
+    return lambda rng, k: np.vstack([block_at(rng) for _ in range(k)])
+
+
 def _prime_above(bound):
     p = bound + 1
     while not is_prime(p):
@@ -275,29 +281,46 @@ def test_early_stop_matches_full_loop(cell, s_max, trials, small_prime, seed):
         y = sample_point(m, field, rng)
         return tangent_block(alphas, betas, x, y, p)
 
-    full = full_rank_profile(ncols, field, s_max, trials, lambda t: trial_rng(spec, seed, t, p, 0), tangent_at)
+    def rng_for(t):
+        return trial_rng(spec, seed, t, p, 0)
+
+    full = full_rank_profile(ncols, field, s_max, trials, rng_for, tangent_at)
     dims = dimension_profile(spec, s_max, trials=trials, field=field, seed=seed)
     assert dims.tolist() == [r - 1 for r in full]
+    panels = rank_profile(ncols, spec.dim + 1, spec.dim + 2, field, s_max, trials, rng_for, _panel_of(tangent_at))
+    assert panels.tolist() == full
 
     scheme = AffineSchemeSpec(n, m, a, b, s_max)
     gammas = split_exponent_array(spec)
-    full = full_rank_profile(
-        ncols, field, s_max, trials, lambda t: trial_rng(spec, seed, t, p, 1),
-        lambda rng: gradient_rows(gammas, sample_generic_point(scheme, field, rng), p)[1],
-    )
+
+    def double_point_at(rng):
+        return gradient_rows(gammas, sample_generic_point(scheme, field, rng), p)[1]
+
+    def rng_for(t):
+        return trial_rng(spec, seed, t, p, 1)
+
+    full = full_rank_profile(ncols, field, s_max, trials, rng_for, double_point_at)
     report = secant_dimension_via_reduction(spec, s_max, trials=trials, field=field, seed=seed)
     assert report.computed_dim == full[-1] - 1
+    panels = rank_profile(ncols, spec.dim + 1, spec.dim + 1, field, s_max, trials, rng_for, _panel_of(double_point_at))
+    assert panels.tolist() == full
 
     # The plain Veronese of degree a on P^n, stream key (n, 0, a, 0).
     key = SimpleNamespace(n=n, m=0, a=a, b=0)
     cols = comb(n + a, n)
     field = field_for(min(cols, s_max * (n + 1)) * (a - 1))
     exps = exponent_vectors(a, n + 1)
-    full = full_rank_profile(
-        cols, field, s_max, trials, lambda t: trial_rng(key, seed, t, field.p, 2),
-        lambda rng: gradient_rows(exps, sample_point(n, field, rng), field.p)[1],
-    )
+
+    def veronese_at(rng):
+        return gradient_rows(exps, sample_point(n, field, rng), field.p)[1]
+
+    def rng_for(t):
+        return trial_rng(key, seed, t, field.p, 2)
+
+    full = full_rank_profile(cols, field, s_max, trials, rng_for, veronese_at)
     assert veronese_secant_dimension(n, a, s_max, trials=trials, field=field, seed=seed) == full[-1] - 1
+    panels = rank_profile(cols, n + 1, n + 1, field, s_max, trials, rng_for, _panel_of(veronese_at))
+    assert panels.tolist() == full
 
 
 @settings(max_examples=100, deadline=None)
@@ -312,6 +335,7 @@ def test_early_stop_matches_full_loop(cell, s_max, trials, small_prime, seed):
 def test_rank_profile_matches_full_loop_on_random_blocks(p, ncols, rows, s_max, trials, seed):
     # Uniform blocks over a tiny field often add nothing, even one rank
     # short of a full basis, and trials often fall short of the ceiling.
+    # Panels of several points read each point's rank from the pivot rows.
     field = PrimeField(p)
 
     def rng_for(trial):
@@ -321,23 +345,161 @@ def test_rank_profile_matches_full_loop_on_random_blocks(p, ncols, rows, s_max, 
         return rng.integers(0, p, size=(rows, ncols))
 
     full = full_rank_profile(ncols, field, s_max, trials, rng_for, block_at)
-    assert rank_profile(ncols, rows, field, s_max, trials, rng_for, block_at).tolist() == full
+    profile = rank_profile(ncols, rows, rows, field, s_max, trials, rng_for, _panel_of(block_at))
+    assert profile.tolist() == full
 
 
 def test_early_stop_absorbs_only_needed_blocks(monkeypatch):
-    absorbed = []
+    rows = []
+    draws = []
+    original_absorb = RankAccumulator.absorb
+    original_sample = terracini.sample_point
+
+    def counting_absorb(acc, block):
+        rows.append(len(block))
+        return original_absorb(acc, block)
+
+    def counting_sample(dim, field, rng):
+        draws.append(dim)
+        return original_sample(dim, field, rng)
+
+    monkeypatch.setattr(RankAccumulator, "absorb", counting_absorb)
+    monkeypatch.setattr(terracini, "sample_point", counting_sample)
+    # Nondefective: the first trial reaches min(30, 4s) at every s and fills
+    # the basis at its 8th point, so nothing else is drawn or absorbed.
+    dimension_profile(SegreVeroneseSpec(2, 1, 3, 2), 10, trials=3, field=FIELD)
+    assert sum(rows) == 8 * 5
+    assert draws == [2, 1] * 8
+    # Defective at s = 5 (rank 19 of 20): every trial draws every point.
+    rows.clear()
+    draws.clear()
+    dimension_profile(SegreVeroneseSpec(2, 1, 3, 1), 5, trials=3, field=FIELD)
+    assert sum(rows) == 15 * 5
+    assert draws == [2, 1] * 15
+
+
+@settings(max_examples=15, deadline=None)
+@given(
+    cell=st.tuples(st.integers(1, 3), st.integers(1, 3), st.integers(1, 4), st.integers(1, 4)).filter(
+        lambda c: c[0] + c[1] <= 4 and c[2] + c[3] <= 5
+    ),
+    s=st.integers(1, 7),
+    seed=st.integers(0, 2**16),
+)
+@example(cell=(1, 1, 2, 2), s=3, seed=0)
+@example(cell=(2, 1, 2, 2), s=5, seed=0)
+@example(cell=(2, 1, 3, 1), s=5, seed=0)
+@example(cell=(3, 1, 2, 2), s=5, seed=0)
+def test_paths_agree_with_rational_rank_and_factor_swap(cell, s, seed):
+    # Four computations of dim sigma_s: the tangent path, the rank over Q
+    # of the exact integer tangent rows at the points its first trial
+    # draws, the affine path and the tangent path of the swapped spec.  The
+    # oracle's fraction elimination is kept to at most 30 rows, which still
+    # reaches the defective cells (1,1,2,2), (2,1,2,2), (2,1,3,1), (3,1,2,2).
+    n, m, a, b = cell
+    spec = SegreVeroneseSpec(n, m, a, b)
+    s = min(s, 30 // (spec.dim + 2))
+    tangent = secant_dimension(spec, s, trials=1, field=FIELD, seed=seed).computed_dim
+    rng = trial_rng(spec, seed, 0, FIELD.p)
+    points = [
+        ([int(v) for v in sample_point(n, FIELD, rng)], [int(v) for v in sample_point(m, FIELD, rng)])
+        for _ in range(s)
+    ]
+    exact = rational_rank(integer_tangent_matrix(n, m, a, b, points)) - 1
+    affine = secant_dimension_via_reduction(spec, s, trials=1, field=FIELD, seed=seed).computed_dim
+    swapped = secant_dimension(spec.swapped(), s, trials=1, field=FIELD, seed=seed).computed_dim
+    assert tangent == exact == affine == swapped
+
+
+class _FakeBlas:
+    """Stands in for OpenBLAS's (set, get) thread-count calls."""
+
+    def __init__(self, threads):
+        self.threads = threads
+        self.sets = []
+
+    def set(self, threads):
+        self.sets.append(threads)
+        self.threads = threads
+
+    def get(self):
+        return self.threads
+
+
+def _profile_with(blas, monkeypatch, fail=False):
+    monkeypatch.setattr(field_module, "_openblas_thread_calls", lambda: (blas.set, blas.get))
+    seen = []
+
+    def panel_at(rng, k):
+        seen.append(blas.get())
+        if fail:
+            raise RuntimeError("panel failed")
+        return rng.integers(0, 101, size=(k, 4))
+
+    rank_profile(4, 1, 1, PrimeField(101), 3, 2, np.random.default_rng, panel_at)
+    return seen
+
+
+def test_rank_profile_runs_on_one_blas_thread_and_restores_the_count(monkeypatch):
+    blas = _FakeBlas(2)
+    assert set(_profile_with(blas, monkeypatch)) == {1}
+    assert blas.sets == [1, 2] and blas.threads == 2
+    # restored on an exception as well
+    blas = _FakeBlas(2)
+    with pytest.raises(RuntimeError, match="panel failed"):
+        _profile_with(blas, monkeypatch, fail=True)
+    assert blas.sets == [1, 2] and blas.threads == 2
+    # a process already on one thread (a pinned CLI, its forked workers)
+    # makes no set call, which would restart a forked OpenBLAS's threads
+    blas = _FakeBlas(1)
+    assert set(_profile_with(blas, monkeypatch)) == {1}
+    assert blas.sets == []
+
+
+def test_rank_profile_restores_the_loaded_openblas_count():
+    calls = field_module._openblas_thread_calls()
+    if calls is None:
+        pytest.skip("no OpenBLAS loaded by numpy")
+    set_threads, get_threads = calls
+    before = get_threads()
+    try:
+        set_threads(2)
+        dimension_profile(SegreVeroneseSpec(2, 1, 2, 2), 5, trials=1, field=FIELD)
+        assert get_threads() == 2
+    finally:
+        set_threads(before)
+
+
+def test_memory_check_counts_what_a_profile_allocates(monkeypatch):
+    # The budget is the panel, three basis buffers of at most ncols**2 / 4
+    # and three profile arrays; a run at exactly that budget passes and
+    # never absorbs more rows or holds larger buffers than were counted.
+    spec = SegreVeroneseSpec(3, 1, 3, 2)
+    ncols, s_max = spec.N + 1, 12
+    panel = terracini.panel_rows(spec.dim + 2, s_max)
+    need = panel * ncols + 3 * (ncols * ncols // 4) + 3 * s_max
+    with pytest.raises(SizingError, match=f"needs {need} entries, budget is {need - 1}"):
+        dimension_profile(spec, s_max, trials=1, field=FIELD, memory_budget=need - 1)
+    seen = []
     original = RankAccumulator.absorb
 
-    def counting(acc, block):
-        absorbed.append(block)
-        return original(acc, block)
+    def recording(acc, block):
+        result = original(acc, block)
+        seen.append((len(block), 0 if acc._store is None else acc._store.size))
+        return result
 
-    monkeypatch.setattr(RankAccumulator, "absorb", counting)
-    # Nondefective: the first trial reaches min(30, 4s) at every s and fills
-    # the basis at its 8th block, so nothing else is drawn.
-    dimension_profile(SegreVeroneseSpec(2, 1, 3, 2), 10, trials=3, field=FIELD)
-    assert len(absorbed) == 8
-    # Defective at s = 5 (rank 19 of 20): every trial runs every block.
-    absorbed.clear()
-    dimension_profile(SegreVeroneseSpec(2, 1, 3, 1), 5, trials=3, field=FIELD)
-    assert len(absorbed) == 3 * 5
+    monkeypatch.setattr(RankAccumulator, "absorb", recording)
+    dimension_profile(spec, s_max, trials=1, field=FIELD, memory_budget=need)
+    assert max(rows for rows, _ in seen) <= panel
+    assert max(size for _, size in seen) <= ncols * ncols // 4
+
+
+def test_memory_check_runs_on_every_path():
+    spec = SegreVeroneseSpec(2, 1, 2, 2)
+    with pytest.raises(SizingError, match="affine rank profile"):
+        secant_dimension_via_reduction(spec, 3, memory_budget=200)
+    with pytest.raises(SizingError, match="Veronese rank profile for n=2, a=3"):
+        veronese_secant_dimension(2, 3, 4, memory_budget=50)
+    # A huge s is refused by its profile arrays before anything is drawn.
+    with pytest.raises(SizingError, match="s=1000000000"):
+        dimension_profile(SegreVeroneseSpec(1, 1, 1, 1), 10**9, trials=1)
