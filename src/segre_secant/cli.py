@@ -33,7 +33,7 @@ from fractions import Fraction
 import numpy as np
 
 from .affine import GenericityError, secant_dimension_via_reduction
-from .field import DEFAULT_PRIME, SECOND_PRIME, PrimeField, SizingError, _openblas_thread_calls
+from .field import DEFAULT_PRIME, SECOND_PRIME, PrimeField, SizingError, _openblas_thread_calls, one_blas_thread
 from .grassmann import check_corollary
 from .induction import replay_main_theorem
 from .numerology import classify, closed_form_e, closed_form_estar, expected_dimension, invariants
@@ -252,16 +252,29 @@ def _pin_blas_threads() -> None:
     Parallelism comes from --jobs, one cell per core: OpenBLAS threads in
     the parent and in each pool worker would compete for the same cores.
     The engine's own scope (``field.one_blas_thread``) then finds one
-    thread and makes no call.  A worker forked from a pinned parent already
-    runs on one thread and is left alone: in a forked child any set call
-    restarts OpenBLAS's thread pool, whose new threads spin-wait before
-    they sleep.
+    thread and makes no call.  ``run_verify`` forks its pool inside that
+    scope, so a forked worker already runs on one thread and is left
+    alone: in a forked child any set call restarts OpenBLAS's thread pool,
+    whose new threads spin-wait before they sleep.
     """
     calls = _openblas_thread_calls()
     if calls is not None:
         set_threads, get_threads = calls
         if get_threads() != 1:
             set_threads(1)
+
+
+def _cell_cost(job) -> int:
+    """ncols**2 * s_max, the scale of a verify cell's elimination work.
+
+    0 for a cell that ``_verify_cell`` refuses before any work.
+    """
+    n, m, a, b, s_policy, s_list = job[:6]
+    try:
+        s_max = invariants(n, m, a, b).qstar + 1 if s_policy == "uptoqstar" else max(s_list)
+    except ValueError:
+        return 0
+    return (SegreVeroneseSpec(n, m, a, b).N + 1) ** 2 * s_max
 
 
 def _available_cores() -> int:
@@ -284,8 +297,15 @@ def run_verify(config: SweepConfig) -> tuple[dict, list[dict], int]:
     # cells or cores would only cost processes.
     workers = min(config.jobs, len(jobs), _available_cores())
     if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers, initializer=_pin_blas_threads) as pool:
-            results = list(pool.map(_verify_cell, jobs))
+        # Largest cells first, so none is left to run alone at the end;
+        # results go back into grid order.  The pool forks inside the
+        # one-thread scope, so its workers start on one BLAS thread and
+        # their initializer makes no set call.
+        order = sorted(range(len(jobs)), key=lambda i: _cell_cost(jobs[i]), reverse=True)
+        results = [None] * len(jobs)
+        with one_blas_thread(), ProcessPoolExecutor(max_workers=workers, initializer=_pin_blas_threads) as pool:
+            for i, result in zip(order, pool.map(_verify_cell, [jobs[i] for i in order])):
+                results[i] = result
     else:
         results = [_verify_cell(job) for job in jobs]
     rows: list[dict] = []

@@ -6,15 +6,19 @@ The modulus is restricted to p < 2**31 so that a product of two reduced
 elements stays below 2**62 and a subtraction stays above -2**62: single
 multiply-then-reduce steps are safe in plain int64.
 
-Sums of products (the block reduction inside RankAccumulator) run in
-float64 BLAS, which is exact on integers while every partial sum stays
-below 2**53.  One factor is split into 11-bit limbs and the other holds
-magnitudes below p, so each term is below 2**11 * 2**31 = 2**42, and a
-product over at most MAX_PRODUCT_TERMS = 2047 terms stays below
-2**53 - 2**42; longer inner dimensions are cut into chunks of that length,
-each reduced mod p before the next is added.  The basis size therefore
-does not enter the exactness bound; RankAccumulator still refuses a basis
-of MAX_BASIS_ROWS rows or more.
+RankAccumulator eliminates rows a panel of PANEL_ROWS at a time, by
+blocked Gauss-Jordan: an int64 walk of a strip of PANEL_ROWS columns,
+single multiply-then-reduce steps only, and sums of products for
+everything else (reducing a panel against the basis, applying the walk's
+transform to the rest of each row, folding new rows into the basis).
+Those run in float64 BLAS, which is exact on integers while every partial
+sum stays below 2**53.  One factor is split into 11-bit limbs and the
+other holds magnitudes below p, so each term is below 2**11 * 2**31 =
+2**42, and a product over at most MAX_PRODUCT_TERMS = 2047 terms stays
+below 2**53 - 2**42; longer inner dimensions are cut into chunks of that
+length, each reduced mod p before the next is added.  The basis size
+therefore does not enter the exactness bound; RankAccumulator still
+refuses a basis of MAX_BASIS_ROWS rows or more.
 
 Those products are small, so OpenBLAS threads only add contention:
 ``one_blas_thread`` runs a computation on one thread and restores the
@@ -44,6 +48,13 @@ MAX_BASIS_ROWS = 2**16 - 1
 #: Most terms one float64 product may sum: 2047 terms below 2**42 each
 #: stay below 2**53 - 2**42, where every partial sum is an exact float64.
 MAX_PRODUCT_TERMS = 2**11 - 1
+
+#: Rows of one elimination panel, and columns of one strip of its walk.
+#: The int64 walk of a strip costs about PANEL_ROWS**2 per pivot; everything
+#: else is a float64 product.  On a 2-core Xeon, 32 and 48 timed alike on
+#: the large and the small cells of the default verify grid; 16 was 30-40%
+#: slower and 64 about 10% slower.
+PANEL_ROWS = 32
 
 _LIMB_BITS = 11
 
@@ -218,29 +229,79 @@ def _limbs(x: np.ndarray, shifts: np.ndarray) -> np.ndarray:
     return ((x >> shifts) & (2**_LIMB_BITS - 1)).reshape(shifts.shape[0] * rows, cols).astype(np.float64)
 
 
+def _center(x: np.ndarray, p: int, work: np.ndarray | None = None) -> np.ndarray:
+    """Sets float64 integers x of magnitude below 2**22 * p to x mod p, in place.
+
+    q = rint(x / p) is off from x / p by less than 1/2 + 2**-30, so q * p
+    and x - q * p are exact and |x - q * p| < p / 2 + 2, with 0 the only
+    representative of zero.  ``work``, if given, is scratch of x's shape.
+    """
+    q = np.multiply(x, 1.0 / p, out=work)
+    np.rint(q, out=q)
+    q *= p
+    x -= q
+    return x
+
+
+def _canonical(x: np.ndarray, p: int) -> np.ndarray:
+    """float64 integers of magnitude below p as int64 representatives in [0, p)."""
+    r = x.astype(np.int64)
+    # r >> 63 is -1 where r < 0 and 0 elsewhere, so p is added to negatives.
+    r += (r >> 63) & p
+    return r
+
+
 def _submul(y: np.ndarray, a: np.ndarray, b: np.ndarray, p: int, work: np.ndarray | None = None) -> np.ndarray:
     """Sets y to y - a @ b reduced mod p, in place, in float64 BLAS.
 
     y holds integers of magnitude below p; one of a, b holds 11-bit limbs
     and the other magnitudes below p.  The inner dimension is cut into
-    chunks of MAX_PRODUCT_TERMS, so x = y - (a @ b over one chunk) has
-    every partial sum exact and |x| < 2**22 * p.  Then q = rint(x / p) is
-    off from x / p by less than 1/2 + 2**-30, so q * p and x - q * p are
-    exact and |x - q * p| < p, with 0 the only representative of zero.
-    ``work``, if given, is scratch of y's shape.
+    chunks of MAX_PRODUCT_TERMS, so y - (a @ b over one chunk) has every
+    partial sum exact and magnitude below 2**22 * p, and ``_center``
+    brings it back below p.  ``work``, if given, is scratch of y's shape.
     """
     for lo in range(0, a.shape[1], MAX_PRODUCT_TERMS):
         hi = lo + MAX_PRODUCT_TERMS
         y -= np.matmul(a[:, lo:hi], b[lo:hi], out=work)
-        q = np.multiply(y, 1.0 / p, out=work)
-        np.rint(q, out=q)
-        q *= p
-        y -= q
+        _center(y, p, work)
     return y
 
 
 def _view(flat: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
     return flat[: shape[0] * shape[1]].reshape(shape)
+
+
+def _walk(C: np.ndarray, width: int, p: int) -> tuple[list[int], list[int]]:
+    """Gauss-Jordan on a strip held by columns, rows in order, in place.
+
+    Row j of C is column j of the strip, so each update writes one
+    contiguous run of C.  A row of the strip that is nonzero on its first
+    ``width`` columns becomes a pivot at its first nonzero column: it is
+    normalized and that column is cleared from every other row, above and
+    below.  Columns from ``width`` on, if any, start as an identity, so
+    they record the transform.  Returns the pivot rows and their columns.
+    """
+    rows, cols = [], []
+    for i in range(C.shape[1]):
+        nz = C[:width, i].nonzero()[0]
+        if nz.size == 0:
+            continue
+        # The row is zero left of its first nonzero column, and the
+        # transforms of rows 0..i are zero right of identity column i, so
+        # the update touches only the columns in between.
+        col = int(nz[0])
+        inv = pow(C.item(col, i), -1, p)
+        block = C[col : min(C.shape[0], width + i + 1)]
+        # Row j gets row i times -C[col, j] / C[col, i]; row i itself gets
+        # row i times inv - 1, which normalizes it.
+        factors = block[0] * (p - inv) % p
+        factors[i] = inv - 1
+        update = np.multiply.outer(block[:, i], factors)
+        update += block
+        np.remainder(update, p, out=block)
+        rows.append(i)
+        cols.append(col)
+    return rows, cols
 
 
 class RankAccumulator:
@@ -258,13 +319,14 @@ class RankAccumulator:
     The basis is kept reduced and compressed as ``[I | E]``: the pivot
     column of each row, the free (non-pivot) columns, and ``E``, the rows
     on the free columns, as float64 integers of magnitude below p.
-    ``absorb`` reduces the incoming block as ``B[:, free] - B[:, piv] @ E``
-    in float64 BLAS with ``B[:, piv]`` split into 11-bit limbs (see
-    ``_submul``), then walks the reduced rows in order in int64: a nonzero
-    row's first nonzero column is a new pivot, the row is normalized, and
-    its column cleared from the rows below it.  Folding the new rows into
-    ``[I | E]`` is deferred to the start of the next ``absorb``
-    (``_fix_up``), so a one-shot rank costs one forward elimination.
+    ``absorb`` takes a block PANEL_ROWS rows at a time.  It reduces a
+    panel as ``B[:, free] - B[:, piv] @ E`` in float64 BLAS with
+    ``B[:, piv]`` split into 11-bit limbs (see ``_submul``), then
+    eliminates the reduced rows by blocked Gauss-Jordan (``_eliminate``):
+    an int64 walk of a strip of PANEL_ROWS columns and one exact product
+    for the rest of each row, so the panel's new rows come out reduced
+    against each other.  Folding them into ``[I | E]`` is one more product,
+    deferred to the next panel (``_fix_up``).
     """
 
     def __init__(self, ncols: int, field: PrimeField):
@@ -273,7 +335,7 @@ class RankAccumulator:
         # Limb offsets covering p - 1 (three for p near 2**31), and 2**offset.
         offsets = np.arange(0, max(field.p - 1, 1).bit_length(), _LIMB_BITS)
         self._shifts = offsets[:, None, None]
-        self._weights = np.left_shift(1, offsets)
+        self._weights = 2.0**offsets
         self._rank = 0
         self._piv = np.empty(0, dtype=np.int64)
         self._free = np.arange(ncols)
@@ -281,7 +343,7 @@ class RankAccumulator:
         # Flat float64 buffers, reused across absorbs: the one E is a view
         # of, the one the next E is written to, and scratch.
         self._store = self._spare = self._work = None
-        # Positions in _free of the last absorb's pivots, and its new rows.
+        # Positions in _free of the last panel's pivots, and its new rows.
         self._new_cols: list[int] = []
         self._new_rows = np.empty((0, ncols), dtype=np.int64)
         self.pivot_rows = np.empty(0, dtype=np.int64)
@@ -290,28 +352,36 @@ class RankAccumulator:
     def rank(self) -> int:
         return self._rank
 
-    def _fix_up(self) -> None:
-        """Folds the rows of the last ``absorb`` into the reduced basis.
+    def _weighted(self, a: np.ndarray) -> np.ndarray:
+        """a times each limb weight, the thin factor against ``_limbs`` of b.
 
-        The new rows are echelonized on the old free columns: each is zero
-        left of its pivot and in the pivots found before it.  Clearing the
-        pivots in order from the rows above reduces them; one product then
-        clears them from ``E``, and their columns leave the free set.
+        For a of k columns holding integers of magnitude below p, column
+        l * k + j is a[:, j] * 2**(11 l), below 2**22 * p and exact in
+        float64, reduced mod p, so a product with the limbs of b is a @ b.
+        """
+        x = a[:, None, :] * self._weights[:, None]
+        return _center(x, self.field.p).reshape(a.shape[0], -1)
+
+    def _product(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """a @ b mod p in [0, p), for int64 a and b in [0, p) with a thin."""
+        y = np.zeros((a.shape[0], b.shape[1]))
+        return _canonical(_submul(y, -self._weighted(a), _limbs(b, self._shifts), self.field.p), self.field.p)
+
+    def _fix_up(self) -> None:
+        """Folds the rows of the last panel into the reduced basis.
+
+        The new rows are reduced on the old free columns: each is 1 at its
+        own pivot and 0 at the others.  One product clears their pivots
+        from ``E``, and their columns leave the free set.
         """
         if not self._new_cols:
             return
         p = self.field.p
-        cols, N = self._new_cols, self._new_rows
-        for j in range(1, len(cols)):
-            col = cols[j]
-            above = N[:j, col]
-            # count_nonzero skips the Python layer of ndarray.any.
-            if np.count_nonzero(above):
-                N[:j, col:] = (N[:j, col:] - above[:, None] * N[j, col:]) % p
+        cols = self._new_cols
         keep = np.ones(self._free.size, dtype=bool)
         keep[cols] = False
         kept = np.flatnonzero(keep)
-        N = N[:, kept]
+        N = self._new_rows[:, kept]
         r = self._E.shape[0]
         shape = (r + len(cols), kept.size)
         if self._spare is None or shape[0] * shape[1] > self._spare.size:
@@ -323,56 +393,99 @@ class RankAccumulator:
         if r:
             # mode="clip" writes into out directly; "raise" would buffer.
             np.take(self._E, kept, axis=1, out=E[:r], mode="clip")
-            # E[:, cols] @ N with N split into limbs: the limb weights go,
-            # reduced mod p, onto the thin factor E[:, cols], so the r x F
-            # result is reduced once.
-            X = self._E[:, cols].astype(np.int64)[:, None, :] * self._weights[:, None] % p
+            # E[:, cols] @ N with N split into limbs: the limb weights go
+            # onto the thin factor E[:, cols], so the r x F result is
+            # reduced once.
             work = _view(self._work, (r, kept.size))
-            _submul(E[:r], X.reshape(r, -1).astype(np.float64), _limbs(N, self._shifts), p, work)
+            _submul(E[:r], self._weighted(self._E[:, cols]), _limbs(N, self._shifts), p, work)
         self._E = E
         self._store, self._spare = self._spare, self._store
         self._piv = np.concatenate([self._piv, self._free[cols]])
         self._free = self._free[kept]
         self._new_cols = []
 
+    def _reduce(self, B: np.ndarray) -> np.ndarray:
+        """The rows of B reduced against the basis, on the free columns."""
+        p = self.field.p
+        R = B[:, self._free]
+        if not self._piv.size:
+            return R
+        # -(limb l of B[:, piv]) @ E for all limbs in one product, each of
+        # magnitude below p / 2 + 2, then summed with weights 2**(11 l):
+        # with R added the sum stays below 2**53 and below 2**22 * p.
+        limbs = _limbs(B[:, self._piv], self._shifts)
+        Y = _submul(np.zeros((limbs.shape[0], R.shape[1])), limbs, self._E, p)
+        x = (self._weights @ Y.reshape(self._weights.size, -1)).reshape(R.shape)
+        x += R
+        return _canonical(_center(x, p), p)
+
+    def _eliminate(self, R: np.ndarray) -> np.ndarray:
+        """Blocked Gauss-Jordan of reduced rows; returns the pivot rows of R.
+
+        Each step walks a strip, the first PANEL_ROWS nonzero columns of
+        the rows not yet pivots, in row order (``_walk``).  When nonzero
+        columns remain right of the strip, an identity appended to it
+        records the k x k transform of the walk, which one product then
+        applies to the rest of the rows; one more product clears the new
+        pivot columns from the pivot rows of earlier strips.  The rows
+        whose strip came out zero are walked again on their next strip.
+        They are zero on every column the earlier strips' rows pivot on, so
+        a row becomes a pivot exactly when it is outside the span of the
+        basis and the rows before it: the pivot rows are the row rank
+        profile.  The new rows are left, reduced against each other, for
+        ``_fix_up``.
+        """
+        p = self.field.p
+        rest = np.arange(R.shape[0])
+        X = R
+        found, cols = [], []
+        P = np.empty((0, R.shape[1]), dtype=np.int64)
+        while rest.size:
+            nonzero = np.flatnonzero(np.count_nonzero(X, axis=0))
+            if nonzero.size == 0:
+                break
+            strip = nonzero[:PANEL_ROWS]
+            w = strip.size
+            more = nonzero.size > w
+            # The strip by columns, with the identity below it.
+            C = np.concatenate([X.T[strip], np.eye(X.shape[0] if more else 0, X.shape[0], dtype=np.int64)])
+            rows, at = _walk(C, w, p)
+            if self._rank + len(found) + len(rows) > MAX_BASIS_ROWS:
+                raise SizingError(
+                    f"rank accumulator basis would exceed {MAX_BASIS_ROWS} rows, "
+                    f"the largest basis the kernel supports"
+                )
+            X[:, strip] = C[:w].T
+            if more:
+                right = strip[-1] + 1
+                X[:, right:] = self._product(C[w:].T, X[:, right:])
+            new_cols, new = strip[at], X[rows]
+            if P.shape[0] and np.count_nonzero(P[:, new_cols]):
+                P -= self._product(P[:, new_cols], new)
+                P += (P >> 63) & p
+            P = np.concatenate([P, new])
+            found.extend(rest[rows].tolist())
+            cols.extend(new_cols.tolist())
+            deferred = np.ones(X.shape[0], dtype=bool)
+            deferred[rows] = False
+            rest, X = rest[deferred], X[deferred]
+        self._rank += len(found)
+        self._new_cols, self._new_rows = cols, P
+        return np.sort(np.array(found, dtype=np.int64))
+
     def absorb(self, block) -> int:
         """Absorb a block of rows; returns the rank of everything so far.
 
         Also sets ``pivot_rows`` to the block's rows that became pivots.
+        The block is eliminated PANEL_ROWS consecutive rows at a time.
         """
         p = self.field.p
         B = np.atleast_2d(np.asarray(block, dtype=np.int64)) % p
         if B.shape[1] != self.ncols:
             raise ValueError(f"expected {self.ncols} columns, got {B.shape[1]}")
-        self._fix_up()
-        R = B[:, self._free]
-        if self._piv.size:
-            # -(limb l of B[:, piv]) @ E for all limbs in one product, then
-            # summed with weights 2**(11 l) in int64, below 2**54.
-            limbs = _limbs(B[:, self._piv], self._shifts)
-            Y = _submul(np.zeros((limbs.shape[0], R.shape[1])), limbs, self._E, p)
-            R += (self._weights @ Y.astype(np.int64).reshape(self._weights.size, R.size)).reshape(R.shape)
-            R %= p
-        new, cols = [], []
-        for i in range(R.shape[0]):
-            nz = R[i].nonzero()[0]
-            if nz.size == 0:
-                continue
-            if self._rank >= MAX_BASIS_ROWS:
-                raise SizingError(
-                    f"rank accumulator basis would exceed {MAX_BASIS_ROWS} rows, "
-                    f"the largest basis the kernel supports"
-                )
-            # Left of its first nonzero column the row is zero, so every
-            # update below touches only the columns from the pivot on.
-            col = int(nz[0])
-            R[i, col:] = R[i, col:] * pow(R.item(i, col), -1, p) % p
-            new.append(i)
-            cols.append(col)
-            self._rank += 1
-            below = R[i + 1 :, col]
-            if np.count_nonzero(below):
-                R[i + 1 :, col:] = (R[i + 1 :, col:] - below[:, None] * R[i, col:]) % p
-        self._new_cols, self._new_rows = cols, R[new]
-        self.pivot_rows = np.array(new, dtype=np.int64)
+        found = [np.empty(0, dtype=np.int64)]
+        for lo in range(0, B.shape[0], PANEL_ROWS):
+            self._fix_up()
+            found.append(lo + self._eliminate(self._reduce(B[lo : lo + PANEL_ROWS])))
+        self.pivot_rows = np.concatenate(found)
         return self._rank

@@ -25,7 +25,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from .field import ConditionMatrix, PrimeField, sample_point
+from .field import ConditionMatrix, PrimeField
 from .monomials import exponent_vectors, gradient_rows
 from .numerology import classify
 from .terracini import (
@@ -133,7 +133,9 @@ def veronese_secant_dimension(
     exps = exponent_vectors(a, n + 1)
 
     def panel_at(rng: np.random.Generator, k: int) -> np.ndarray:
-        points = np.array([sample_point(n, field, rng) for _ in range(k)])
+        # One draw for the panel, the values of k sample_point calls.
+        coords = rng.integers(0, field.p, size=(k, n), dtype=np.int64)
+        points = np.hstack([np.ones((k, 1), dtype=np.int64), coords])
         return gradient_rows(exps, points, field.p)[1].reshape(k * (n + 1), -1)
 
     ranks = rank_profile(

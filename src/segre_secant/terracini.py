@@ -38,23 +38,17 @@ import numpy as np
 
 from .field import (
     DEFAULT_PRIME,
+    PANEL_ROWS,
     ConditionMatrix,
     PrimeField,
     RankAccumulator,
     SizingError,
     one_blas_thread,
-    sample_point,
 )
 from .monomials import exponent_vectors, gradient_rows
 
 #: Largest number of matrix entries a single dimension query may allocate.
 DEFAULT_MEMORY_BUDGET = 2**25
-
-#: Most rows ``rank_profile`` absorbs in one panel.  The int64 row walk of a
-#: panel costs about rows**2 * ncols: on a 2-core Xeon, 24 to 48 rows timed
-#: alike on the default verify grid, and 64 rows made the (4, 1, 5, 5) cell
-#: about 25% slower than 32.
-PANEL_ROWS = 32
 
 #: Recorded in every report so runs are reproducible across machines.
 RNG_DESCRIPTION = (
@@ -356,11 +350,13 @@ def dimension_profile(
     betas = exponent_vectors(spec.b, spec.m + 1)
 
     def panel_at(rng: np.random.Generator, k: int) -> np.ndarray:
-        x = np.empty((k, spec.n + 1), dtype=np.int64)
-        y = np.empty((k, spec.m + 1), dtype=np.int64)
-        for i in range(k):
-            x[i] = sample_point(spec.n, field, rng)
-            y[i] = sample_point(spec.m, field, rng)
+        # One draw for the panel: row i holds point i's x then y coordinates
+        # after the leading 1, the values of a sample_point call for x and
+        # one for y per point.
+        coords = rng.integers(0, field.p, size=(k, spec.n + spec.m), dtype=np.int64)
+        ones = np.ones((k, 1), dtype=np.int64)
+        x = np.hstack([ones, coords[:, : spec.n]])
+        y = np.hstack([ones, coords[:, spec.n :]])
         return tangent_block(alphas, betas, x, y, field.p)
 
     ranks = rank_profile(

@@ -220,10 +220,14 @@ class _SerialPool:
 
     sizes: list = []
     initializers: list = []
+    items: list = []
+    blas_threads: list = []
 
     def __init__(self, max_workers, initializer=None):
         self.sizes.append(max_workers)
         self.initializers.append(initializer)
+        calls = cli._openblas_thread_calls()
+        self.blas_threads.append(None if calls is None else calls[1]())
 
     def __enter__(self):
         return self
@@ -232,6 +236,7 @@ class _SerialPool:
         return False
 
     def map(self, fn, items):
+        self.items.extend(items)
         return map(fn, items)
 
 
@@ -251,6 +256,58 @@ def test_verify_jobs_clamped_to_cells_and_cores(capsys, monkeypatch):
     assert _SerialPool.sizes == [3, 4]
     # every pool worker pins BLAS to one thread as it starts
     assert _SerialPool.initializers == [cli._pin_blas_threads] * 2
+
+
+def _sweep(n_range, a_range, b_range, jobs):
+    return cli.SweepConfig(
+        n_range=n_range, m_range=(1,), a_range=a_range, b_range=b_range,
+        s_policy="uptoqstar", s_list=(), trials=2, primes=(cli.DEFAULT_PRIME, cli.SECOND_PRIME),
+        seed=0, fmt="json", memory_budget=cli.DEFAULT_MEMORY_BUDGET, jobs=jobs,
+    )
+
+
+def test_verify_pool_runs_largest_cells_first_in_grid_order_output(monkeypatch):
+    monkeypatch.setattr("segre_secant.cli.ProcessPoolExecutor", _SerialPool)
+    monkeypatch.setattr(_SerialPool, "items", [])
+    monkeypatch.setattr("segre_secant.cli._available_cores", lambda: 2)
+    config = _sweep((1, 2, 3), (1, 3), (1, 2), 2)
+    serial = cli.run_verify(_sweep((1, 2, 3), (1, 3), (1, 2), 1))
+    assert cli.run_verify(config) == serial
+    costs = [cli._cell_cost(job) for job in _SerialPool.items]
+    assert len(costs) == 12 and costs == sorted(costs, reverse=True)
+    assert _SerialPool.items[0][:4] == (3, 1, 3, 2)
+    # ncols**2 * (q* + 1): (3, 1, 3, 2) has 20 * 3 columns and q* = 12.
+    assert costs[0] == 60**2 * 13
+
+
+def test_verify_pool_starts_on_one_blas_thread(monkeypatch):
+    # Workers forked from a parent on one thread inherit it and make no set
+    # call; the caller's own count comes back afterwards.
+    calls = cli._openblas_thread_calls()
+    if calls is None:
+        pytest.skip("no OpenBLAS thread control in this numpy")
+    set_threads, get_threads = calls
+    monkeypatch.setattr("segre_secant.cli.ProcessPoolExecutor", _SerialPool)
+    monkeypatch.setattr(_SerialPool, "blas_threads", [])
+    monkeypatch.setattr("segre_secant.cli._available_cores", lambda: 2)
+    before = get_threads()
+    set_threads(2)
+    try:
+        cli.run_verify(_sweep((1, 2), (1,), (1,), 2))
+        assert _SerialPool.blas_threads == [1]
+        assert get_threads() == 2
+    finally:
+        set_threads(before)
+
+
+def test_verify_pool_matches_serial_payload(monkeypatch):
+    # A real pool of two workers, on a grid with a large cell: the payload,
+    # and so stdout, is the serial one whatever order cells finish in.
+    grid = ((1, 3), (1, 4), (1, 4))
+    serial = cli.run_verify(_sweep(*grid, 1))
+    monkeypatch.setattr("segre_secant.cli._available_cores", lambda: 2)
+    assert cli.run_verify(_sweep(*grid, 2)) == serial
+    assert serial[2] == EXIT_OK and len(serial[0]["cells"]) > 20
 
 
 def test_main_pins_blas_to_one_thread(capsys):

@@ -13,7 +13,7 @@ from segre_secant import (
     rank,
     sample_point,
 )
-from segre_secant.field import MAX_PRODUCT_TERMS
+from segre_secant.field import MAX_PRODUCT_TERMS, PANEL_ROWS
 from segre_secant.terracini import SegreVeroneseSpec, tangent_matrix, trial_rng
 
 from oracles import integer_tangent_matrix, modular_rank, rational_rank
@@ -222,6 +222,17 @@ def test_chunked_products_match_modular_oracle_on_streams(monkeypatch, terms, p,
     _stream_matches_modular_oracle(p, ncols, data)
 
 
+@pytest.mark.parametrize("panel", [1, 2, 3])
+@settings(max_examples=50, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(p=st.sampled_from([2, 3, 101, DEFAULT_PRIME]), ncols=st.integers(1, 12), data=st.data())
+def test_narrow_panels_match_modular_oracle_on_streams(monkeypatch, panel, p, ncols, data):
+    # Panels and strips of `panel` rows and columns: blocks split into
+    # several panels, and rows whose strip comes out zero are walked again
+    # on a later strip.
+    monkeypatch.setattr("segre_secant.field.PANEL_ROWS", panel)
+    _stream_matches_modular_oracle(p, ncols, data)
+
+
 def test_worst_case_entries_stay_exact():
     # Every entry p - 1 (= -1) at p = 2**31 - 1: all limbs near 2**11 and a
     # basis of large entries, through blocks and through the deferred fix-up.
@@ -281,9 +292,7 @@ def test_rank_accumulator_enforces_basis_row_bound(monkeypatch):
         acc.absorb(np.eye(5, dtype=np.int64)[3:])
 
 
-@settings(max_examples=60, deadline=None)
-@given(st.sampled_from([2, 3, 101, DEFAULT_PRIME]), st.integers(1, 10), st.data())
-def test_pivot_rows_are_the_row_rank_profile(p, ncols, data):
+def _pivot_rows_match_row_rank_profile(p, ncols, data):
     # Row j of a block is a pivot exactly when it raises the rank of
     # everything before it.  Span rows combine all earlier rows, those of
     # the same block included, so a block's rows also depend on each other.
@@ -308,3 +317,68 @@ def test_pivot_rows_are_the_row_rank_profile(p, ncols, data):
         assert acc.pivot_rows.tolist() == expected
         stacked.extend(block)
         assert acc.rank == modular_rank(stacked, p)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([2, 3, 101, DEFAULT_PRIME]), st.integers(1, 10), st.data())
+def test_pivot_rows_are_the_row_rank_profile(p, ncols, data):
+    _pivot_rows_match_row_rank_profile(p, ncols, data)
+
+
+@pytest.mark.parametrize("panel", [1, 2, 3])
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(p=st.sampled_from([2, 3, 101, DEFAULT_PRIME]), ncols=st.integers(1, 10), data=st.data())
+def test_pivot_rows_are_the_row_rank_profile_on_narrow_panels(monkeypatch, panel, p, ncols, data):
+    # The profile of a block split into panels is their profiles, offset.
+    monkeypatch.setattr("segre_secant.field.PANEL_ROWS", panel)
+    _pivot_rows_match_row_rank_profile(p, ncols, data)
+
+
+@pytest.mark.parametrize("p", [101, DEFAULT_PRIME])
+@pytest.mark.parametrize("lead", [0, 5])
+def test_one_shot_rank_of_a_tall_matrix_with_pivots_in_its_last_panel(p, lead):
+    # `lead` random rows, then rows in their span up to 130 in all (zero
+    # rows when lead = 0), then a last panel of fresh rows mixed with rows
+    # in the span of everything before: past the first panel, only the last
+    # one has pivots, and pivot_rows is offset by the panels before it.
+    rng = np.random.default_rng(41 + lead)
+    ncols = 8
+    # Combinations in Python ints: p**2 times a few terms overflows int64.
+    head = rng.integers(0, p, size=(lead, ncols)).astype(object)
+    rows = head.tolist() + (rng.integers(0, p, size=(130 - lead, lead)).astype(object) @ head % p).tolist()
+    for j in range(12):
+        if j % 3 == 2:
+            coeffs = rng.integers(0, p, size=len(rows)).astype(object)
+            rows.append([int(v) for v in coeffs @ np.array(rows, dtype=object) % p])
+        else:
+            rows.append([int(v) for v in rng.integers(0, p, size=ncols)])
+    assert len(rows) > 100 + PANEL_ROWS
+    acc = RankAccumulator(ncols, PrimeField(p))
+    assert acc.absorb(np.array(rows, dtype=np.int64)) == rank(_matrix(rows, PrimeField(p)))
+    prefix_ranks = [modular_rank(rows[:j], p) for j in range(len(rows) + 1)]
+    expected = [j for j in range(len(rows)) if prefix_ranks[j + 1] > prefix_ranks[j]]
+    assert acc.pivot_rows.tolist() == expected
+    assert acc.rank == prefix_ranks[-1] == min(ncols, lead + 8)
+    assert all(j < lead or j >= 130 for j in expected)
+
+
+@pytest.mark.parametrize("panel", [3, 32])
+def test_transform_products_stay_exact_on_worst_case_entries(monkeypatch, panel):
+    # Every entry p - 1 at p = 2**31 - 1 except two zeros per row: the walk's
+    # transform has large entries, and with strips of 3 columns the rest of
+    # each row and the earlier strips' rows go through the transform and
+    # clean-up products on entries of p - 1 and their combinations.
+    monkeypatch.setattr("segre_secant.field.PANEL_ROWS", panel)
+    p = DEFAULT_PRIME
+    rng = np.random.default_rng(43)
+    ncols = 48
+    block = np.full((32, ncols), p - 1, dtype=np.int64)
+    for row in block:
+        row[rng.choice(ncols, size=2, replace=False)] = 0
+    block[5] = block[1]
+    acc = RankAccumulator(ncols, PrimeField(p))
+    assert acc.absorb(block) == modular_rank(block.tolist(), p) == 31
+    assert 5 not in acc.pivot_rows.tolist() and acc.pivot_rows.size == 31
+    again = np.full((4, ncols), p - 1, dtype=np.int64)
+    assert acc.absorb(again) == modular_rank(block.tolist() + again.tolist(), p)
+

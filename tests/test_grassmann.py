@@ -1,4 +1,5 @@
 from math import comb
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -17,6 +18,9 @@ from segre_secant import (
     veronese_secant_dimension,
     veronese_tangent_matrix,
 )
+
+from segre_secant import grassmann
+from segre_secant.terracini import trial_rng
 
 from oracles import quadric_veronese_secant_dim
 
@@ -134,3 +138,21 @@ def test_veronese_rejects_zero_trials():
         veronese_secant_dimension(2, 2, 3, trials=0)
     with pytest.raises(ValueError, match="s must be >= 1, got 0"):
         veronese_secant_dimension(2, 2, 0)
+
+
+def test_veronese_panels_are_drawn_at_sample_point_points(monkeypatch):
+    # The points the Veronese path evaluates are those of sample_point calls
+    # on the trial's stream (key (n, 0, a, 0), method 2), in order.
+    n, a, s, seed = 2, 3, 5, 4
+    seen = []
+    original = grassmann.gradient_rows
+
+    def recording(exps, points, p):
+        seen.append(points)
+        return original(exps, points, p)
+
+    monkeypatch.setattr(grassmann, "gradient_rows", recording)
+    veronese_secant_dimension(n, a, s, trials=1, field=FIELD, seed=seed)
+    points = np.vstack(seen)
+    rng = trial_rng(SimpleNamespace(n=n, m=0, a=a, b=0), seed, 0, FIELD.p, 2)
+    assert np.array_equal(points, np.array([sample_point(n, FIELD, rng) for _ in range(points.shape[0])]))

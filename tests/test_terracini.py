@@ -349,33 +349,79 @@ def test_rank_profile_matches_full_loop_on_random_blocks(p, ncols, rows, s_max, 
     assert profile.tolist() == full
 
 
+class _CountingRng:
+    """A generator that records the shape of every ``integers`` draw."""
+
+    def __init__(self, rng, shapes):
+        self._rng, self._shapes = rng, shapes
+
+    def integers(self, low, high, size, dtype):
+        self._shapes.append(size)
+        return self._rng.integers(low, high, size=size, dtype=dtype)
+
+
 def test_early_stop_absorbs_only_needed_blocks(monkeypatch):
     rows = []
     draws = []
     original_absorb = RankAccumulator.absorb
-    original_sample = terracini.sample_point
+    original_rng = terracini.trial_rng
 
     def counting_absorb(acc, block):
         rows.append(len(block))
         return original_absorb(acc, block)
 
-    def counting_sample(dim, field, rng):
-        draws.append(dim)
-        return original_sample(dim, field, rng)
-
     monkeypatch.setattr(RankAccumulator, "absorb", counting_absorb)
-    monkeypatch.setattr(terracini, "sample_point", counting_sample)
+    monkeypatch.setattr(terracini, "trial_rng", lambda *key: _CountingRng(original_rng(*key), draws))
     # Nondefective: the first trial reaches min(30, 4s) at every s and fills
     # the basis at its 8th point, so nothing else is drawn or absorbed.
+    # Each point draws its n + m = 3 coordinates after the leading ones.
     dimension_profile(SegreVeroneseSpec(2, 1, 3, 2), 10, trials=3, field=FIELD)
     assert sum(rows) == 8 * 5
-    assert draws == [2, 1] * 8
+    assert sum(k for k, _ in draws) == 8 and {width for _, width in draws} == {3}
     # Defective at s = 5 (rank 19 of 20): every trial draws every point.
     rows.clear()
     draws.clear()
     dimension_profile(SegreVeroneseSpec(2, 1, 3, 1), 5, trials=3, field=FIELD)
     assert sum(rows) == 15 * 5
-    assert draws == [2, 1] * 15
+    assert sum(k for k, _ in draws) == 15 and {width for _, width in draws} == {3}
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 101, DEFAULT_PRIME])
+def test_panel_draws_equal_point_draws(p):
+    # One (k, n + m) draw gives the values of k pairs of sample_point calls
+    # (x then y), and one (k, n) draw those of k calls: bounded int64 draws
+    # below 2**32 take one 32-bit output each, in order.
+    field = PrimeField(p)
+    for seed in range(200):
+        n, m, k = 1 + seed % 4, 1 + seed % 3, 1 + seed % 7
+        rng = np.random.default_rng(seed)
+        pairs = [(sample_point(n, field, rng), sample_point(m, field, rng)) for _ in range(k)]
+        coords = np.random.default_rng(seed).integers(0, p, size=(k, n + m), dtype=np.int64)
+        assert np.array_equal(coords[:, :n], np.array([x[1:] for x, _ in pairs]))
+        assert np.array_equal(coords[:, n:], np.array([y[1:] for _, y in pairs]))
+        rng = np.random.default_rng(seed)
+        points = np.array([sample_point(n, field, rng) for _ in range(k)])
+        assert np.array_equal(np.random.default_rng(seed).integers(0, p, size=(k, n), dtype=np.int64), points[:, 1:])
+
+
+def test_tangent_panels_are_drawn_at_sample_point_points(monkeypatch):
+    # The points dimension_profile evaluates are those of sample_point calls
+    # on the trial's stream, x then y per point, in order.
+    spec = SegreVeroneseSpec(2, 1, 2, 3)
+    seen = []
+    original = terracini.tangent_block
+
+    def recording(alphas, betas, x, y, p):
+        seen.append((x, y))
+        return original(alphas, betas, x, y, p)
+
+    monkeypatch.setattr(terracini, "tangent_block", recording)
+    dimension_profile(spec, 6, trials=1, field=FIELD, seed=3)
+    xs = np.vstack([x for x, _ in seen])
+    ys = np.vstack([y for _, y in seen])
+    expected = _points(spec, xs.shape[0], seed=3)
+    assert np.array_equal(xs, np.array([x for x, _ in expected]))
+    assert np.array_equal(ys, np.array([y for _, y in expected]))
 
 
 @settings(max_examples=15, deadline=None)
