@@ -81,7 +81,6 @@ def sample_generic_point(
     scheme: AffineSchemeSpec,
     field: PrimeField,
     rng: np.random.Generator,
-    max_retries: int = MAX_POINT_RETRIES,
 ) -> np.ndarray:
     """A point of P^(n+m) off H1 and H2, in the chart z_0 = 1.
 
@@ -89,12 +88,12 @@ def sample_generic_point(
     lies on H1 = {z_n = ... = z_(n+m) = 0} only when the trailing m + 1
     coordinates all vanish, which is rejection-sampled away.
     """
-    for _ in range(max_retries):
+    for _ in range(MAX_POINT_RETRIES):
         point = sample_point(scheme.n + scheme.m, field, rng)
         if np.any(point[scheme.n :]):
             return point
     raise GenericityError(
-        f"failed to sample a point off H1 for {scheme} after {max_retries} retries"
+        f"failed to sample a point off H1 for {scheme} after {MAX_POINT_RETRIES} retries"
     )
 
 

@@ -94,35 +94,34 @@ class SweepConfig:
             raise ValueError("need at least one prime")
         if self.s_policy == "list" and not self.s_list:
             raise ValueError("explicit s policy needs a nonempty --s-list")
+        if self.s_policy != "list" and self.s_list:
+            raise ValueError("--s-list is read only with --s-policy list")
         if tuple(self.m_range) != (1,):
             raise ValueError("classification comparison requires m = 1")
 
 
 def _resolve_seed(args) -> int:
     if args.seed is not None:
-        return args.seed
-    env = os.environ.get("SEGRE_SECANT_SEED")
-    if env is None:
-        return 0
+        source, seed = "--seed", args.seed
+    else:
+        env = os.environ.get("SEGRE_SECANT_SEED")
+        if env is None:
+            return 0
+        try:
+            source, seed = "SEGRE_SECANT_SEED", int(env)
+        except ValueError:
+            raise ValueError(f"SEGRE_SECANT_SEED must be an integer, got {env!r}")
+    if seed < 0:
+        raise ValueError(f"{source} must be a non-negative integer, got {seed}")
+    return seed
+
+
+def _parse_int_list(text: str, flag: str) -> tuple[int, ...]:
+    """Comma-separated integers, empty parts skipped; ``flag`` names the source in errors."""
     try:
-        return int(env)
+        return tuple(int(part) for part in text.split(",") if part.strip())
     except ValueError:
-        raise ValueError(f"SEGRE_SECANT_SEED must be an integer, got {env!r}")
-
-
-def _parse_primes(text: str) -> tuple[int, ...]:
-    try:
-        primes = tuple(int(part) for part in text.split(",") if part.strip())
-    except ValueError:
-        raise ValueError(f"--primes must be a comma-separated integer list, got {text!r}")
-    if not primes:
-        raise ValueError("--primes must name at least one prime")
-    return primes
-
-
-def _parse_s_list(text: str) -> tuple[int, ...]:
-    values = tuple(int(part) for part in text.split(",") if part.strip())
-    return values
+        raise ValueError(f"{flag} must be a comma-separated integer list, got {text!r}")
 
 
 def _emit_json(payload: dict) -> None:
@@ -351,15 +350,19 @@ def run_verify(config: SweepConfig) -> tuple[dict, list[dict], int]:
 
 
 def cmd_verify(args) -> int:
+    s_list = _parse_int_list(args.s_list, "--s-list") if args.s_list is not None else ()
+    primes = _parse_int_list(args.primes, "--primes")
+    if not primes:
+        raise ValueError("--primes must name at least one prime")
     config = SweepConfig(
         n_range=tuple(range(args.n_min, args.n_max + 1)),
         m_range=(args.m,),
         a_range=tuple(range(args.a_min, args.a_max + 1)),
         b_range=tuple(range(args.b_min, args.b_max + 1)),
         s_policy=args.s_policy,
-        s_list=_parse_s_list(args.s_list) if args.s_list is not None else (),
+        s_list=s_list,
         trials=args.trials,
-        primes=_parse_primes(args.primes),
+        primes=primes,
         seed=_resolve_seed(args),
         fmt=args.format,
         memory_budget=args.memory_budget,

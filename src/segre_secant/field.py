@@ -10,9 +10,10 @@ RankAccumulator eliminates rows a panel of PANEL_ROWS at a time, by
 blocked Gauss-Jordan: an int64 walk of a strip of PANEL_ROWS columns,
 single multiply-then-reduce steps only, and sums of products for
 everything else (reducing a panel against the basis, applying the walk's
-transform to the rest of each row, folding new rows into the basis).
-Those run in float64 BLAS, which is exact on integers while every partial
-sum stays below 2**53.  One factor is split into 11-bit limbs and the
+transform to the rest of each row, and folding each strip's new rows into
+the basis as soon as the walk finds them, so nothing is left over for a
+later panel or a later call).  Those run in float64 BLAS, which is exact
+on integers while every partial sum stays below 2**53.  One factor is split into 11-bit limbs and the
 other holds magnitudes below p, so each term is below 2**11 * 2**31 =
 2**42, and a product over at most MAX_PRODUCT_TERMS = 2047 terms stays
 below 2**53 - 2**42; longer inner dimensions are cut into chunks of that
@@ -108,10 +109,6 @@ class PrimeField:
     def inverse(self, x: int) -> int:
         """Multiplicative inverse of x mod p (extended Euclid via pow)."""
         return pow(int(x) % self.p, -1, self.p)
-
-    def reduce(self, values) -> np.ndarray:
-        """Reduce an integer array into canonical representatives [0, p)."""
-        return np.asarray(values, dtype=np.int64) % self.p
 
 
 class SizingError(ValueError):
@@ -324,9 +321,10 @@ class RankAccumulator:
     ``B[:, piv]`` split into 11-bit limbs (see ``_submul``), then
     eliminates the reduced rows by blocked Gauss-Jordan (``_eliminate``):
     an int64 walk of a strip of PANEL_ROWS columns and one exact product
-    for the rest of each row, so the panel's new rows come out reduced
-    against each other.  Folding them into ``[I | E]`` is one more product,
-    deferred to the next panel (``_fix_up``).
+    for the rest of each row, so each strip's new rows come out reduced
+    against each other.  One more product folds them into ``[I | E]``
+    right away (``_fold``): after every strip, and so between calls, the
+    basis holds exactly ``rank`` rows, and no other rows are kept.
     """
 
     def __init__(self, ncols: int, field: PrimeField):
@@ -336,21 +334,17 @@ class RankAccumulator:
         offsets = np.arange(0, max(field.p - 1, 1).bit_length(), _LIMB_BITS)
         self._shifts = offsets[:, None, None]
         self._weights = 2.0**offsets
-        self._rank = 0
         self._piv = np.empty(0, dtype=np.int64)
         self._free = np.arange(ncols)
         self._E = np.empty((0, ncols))
-        # Flat float64 buffers, reused across absorbs: the one E is a view
+        # Flat float64 buffers, reused across folds: the one E is a view
         # of, the one the next E is written to, and scratch.
         self._store = self._spare = self._work = None
-        # Positions in _free of the last panel's pivots, and its new rows.
-        self._new_cols: list[int] = []
-        self._new_rows = np.empty((0, ncols), dtype=np.int64)
         self.pivot_rows = np.empty(0, dtype=np.int64)
 
     @property
     def rank(self) -> int:
-        return self._rank
+        return self._piv.size
 
     def _weighted(self, a: np.ndarray) -> np.ndarray:
         """a times each limb weight, the thin factor against ``_limbs`` of b.
@@ -367,21 +361,20 @@ class RankAccumulator:
         y = np.zeros((a.shape[0], b.shape[1]))
         return _canonical(_submul(y, -self._weighted(a), _limbs(b, self._shifts), self.field.p), self.field.p)
 
-    def _fix_up(self) -> None:
-        """Folds the rows of the last panel into the reduced basis.
+    def _fold(self, cols: np.ndarray, rows: np.ndarray) -> np.ndarray:
+        """Folds new pivot rows into the reduced basis; returns the kept columns.
 
-        The new rows are reduced on the old free columns: each is 1 at its
-        own pivot and 0 at the others.  One product clears their pivots
-        from ``E``, and their columns leave the free set.
+        ``rows`` are on the free columns and reduced against the basis and
+        each other: each is 1 at its own pivot, ``cols`` (positions in the
+        free set), and 0 at the others.  One product clears their pivots
+        from ``E``, and their columns leave the free set; the positions in
+        the old free set of the columns that stay are returned.
         """
-        if not self._new_cols:
-            return
         p = self.field.p
-        cols = self._new_cols
         keep = np.ones(self._free.size, dtype=bool)
         keep[cols] = False
         kept = np.flatnonzero(keep)
-        N = self._new_rows[:, kept]
+        N = rows[:, kept]
         r = self._E.shape[0]
         shape = (r + len(cols), kept.size)
         if self._spare is None or shape[0] * shape[1] > self._spare.size:
@@ -402,7 +395,7 @@ class RankAccumulator:
         self._store, self._spare = self._spare, self._store
         self._piv = np.concatenate([self._piv, self._free[cols]])
         self._free = self._free[kept]
-        self._new_cols = []
+        return kept
 
     def _reduce(self, B: np.ndarray) -> np.ndarray:
         """The rows of B reduced against the basis, on the free columns."""
@@ -426,20 +419,18 @@ class RankAccumulator:
         the rows not yet pivots, in row order (``_walk``).  When nonzero
         columns remain right of the strip, an identity appended to it
         records the k x k transform of the walk, which one product then
-        applies to the rest of the rows; one more product clears the new
-        pivot columns from the pivot rows of earlier strips.  The rows
-        whose strip came out zero are walked again on their next strip.
-        They are zero on every column the earlier strips' rows pivot on, so
-        a row becomes a pivot exactly when it is outside the span of the
+        applies to the rest of the rows.  The strip's new pivot rows are
+        folded into the basis at once (``_fold``), and their columns are
+        dropped from the rows still waiting, which the walk left zero on
+        the whole strip.  Those rows are walked again on their next strip,
+        so a row becomes a pivot exactly when it is outside the span of the
         basis and the rows before it: the pivot rows are the row rank
-        profile.  The new rows are left, reduced against each other, for
-        ``_fix_up``.
+        profile.
         """
         p = self.field.p
         rest = np.arange(R.shape[0])
         X = R
-        found, cols = [], []
-        P = np.empty((0, R.shape[1]), dtype=np.int64)
+        found = []
         while rest.size:
             nonzero = np.flatnonzero(np.count_nonzero(X, axis=0))
             if nonzero.size == 0:
@@ -450,7 +441,7 @@ class RankAccumulator:
             # The strip by columns, with the identity below it.
             C = np.concatenate([X.T[strip], np.eye(X.shape[0] if more else 0, X.shape[0], dtype=np.int64)])
             rows, at = _walk(C, w, p)
-            if self._rank + len(found) + len(rows) > MAX_BASIS_ROWS:
+            if self._piv.size + len(rows) > MAX_BASIS_ROWS:
                 raise SizingError(
                     f"rank accumulator basis would exceed {MAX_BASIS_ROWS} rows, "
                     f"the largest basis the kernel supports"
@@ -459,18 +450,11 @@ class RankAccumulator:
             if more:
                 right = strip[-1] + 1
                 X[:, right:] = self._product(C[w:].T, X[:, right:])
-            new_cols, new = strip[at], X[rows]
-            if P.shape[0] and np.count_nonzero(P[:, new_cols]):
-                P -= self._product(P[:, new_cols], new)
-                P += (P >> 63) & p
-            P = np.concatenate([P, new])
+            kept = self._fold(strip[at], X[rows])
             found.extend(rest[rows].tolist())
-            cols.extend(new_cols.tolist())
             deferred = np.ones(X.shape[0], dtype=bool)
             deferred[rows] = False
-            rest, X = rest[deferred], X[deferred]
-        self._rank += len(found)
-        self._new_cols, self._new_rows = cols, P
+            rest, X = rest[deferred], X[deferred][:, kept]
         return np.sort(np.array(found, dtype=np.int64))
 
     def absorb(self, block) -> int:
@@ -485,7 +469,6 @@ class RankAccumulator:
             raise ValueError(f"expected {self.ncols} columns, got {B.shape[1]}")
         found = [np.empty(0, dtype=np.int64)]
         for lo in range(0, B.shape[0], PANEL_ROWS):
-            self._fix_up()
             found.append(lo + self._eliminate(self._reduce(B[lo : lo + PANEL_ROWS])))
         self.pivot_rows = np.concatenate(found)
-        return self._rank
+        return self.rank

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import hashlib
 import io
 import json
@@ -85,6 +86,42 @@ def test_invalid_env_seed_is_usage_error(capsys, monkeypatch):
     code, _, err = run(capsys, ["dim", "--n", "1", "--m", "1", "--a", "1", "--b", "1", "--s", "1"])
     assert code == EXIT_USAGE
     assert "SEGRE_SECANT_SEED" in err
+
+
+def test_negative_seed_flag_is_usage_error(capsys):
+    for argv in (["dim", "--n", "1", "--m", "1", "--a", "1", "--b", "1", "--s", "1"], ["verify"]):
+        code, out, err = run(capsys, argv + ["--seed", "-1"])
+        assert (code, out) == (EXIT_USAGE, ""), argv
+        assert "--seed must be a non-negative integer, got -1" in err
+
+
+def test_negative_env_seed_is_usage_error(capsys, monkeypatch):
+    monkeypatch.setenv("SEGRE_SECANT_SEED", "-1")
+    for argv in (["dim", "--n", "1", "--m", "1", "--a", "1", "--b", "1", "--s", "1"], ["verify"]):
+        code, out, err = run(capsys, argv)
+        assert (code, out) == (EXIT_USAGE, ""), argv
+        assert "SEGRE_SECANT_SEED must be a non-negative integer, got -1" in err
+
+
+def test_s_list_needs_the_list_policy(capsys):
+    argv = ["verify", "--n-max", "1", "--a-max", "2", "--b-max", "2", "--s-list", "3", "--jobs", "1"]
+    code, out, err = run(capsys, argv)
+    assert (code, out) == (EXIT_USAGE, "")
+    assert "--s-list is read only with --s-policy list" in err
+    with pytest.raises(ValueError, match="--s-policy list"):
+        dataclasses.replace(_sweep((1,), (2,), (2,), 1), s_list=(3,))
+    code, _, _ = run(capsys, argv + ["--s-policy", "list"])
+    assert code == EXIT_OK
+
+
+def test_integer_lists_name_their_flag(capsys):
+    for flag in ("--s-list", "--primes"):
+        code, out, err = run(capsys, ["verify", "--s-policy", "list", "--s-list", "3", flag, "x"])
+        assert (code, out) == (EXIT_USAGE, ""), flag
+        assert f"{flag} must be a comma-separated integer list, got 'x'" in err
+    code, out, err = run(capsys, ["verify", "--primes", ","])
+    assert (code, out) == (EXIT_USAGE, "")
+    assert "--primes must name at least one prime" in err
 
 
 def test_usage_errors_exit_one(capsys):
@@ -359,6 +396,9 @@ def test_dim_discrepancy_exit_code(capsys, monkeypatch):
 # sha256 of stdout for fixed seed, primes and flags; a change to any of them
 # means the engine no longer reproduces earlier runs byte for byte.
 PINNED_STDOUT = {
+    # The full default grid: the largest cells the kernel meets.
+    ("verify", "--jobs", "1"):
+        "43e4da61c732b35acd19a171c67f6cab969dc6b7a21fa472df6a06f60f64dbdc",
     ("verify", "--jobs", "1", "--n-max", "2", "--a-max", "3", "--b-max", "3"):
         "7a1d032747686aed315b053e9ab42d867ad1023826c93a7792d2143d1c5f7aae",
     ("verify", "--jobs", "1", "--n-max", "2", "--a-max", "3", "--b-max", "3", "--format", "csv"):

@@ -235,7 +235,8 @@ def test_narrow_panels_match_modular_oracle_on_streams(monkeypatch, panel, p, nc
 
 def test_worst_case_entries_stay_exact():
     # Every entry p - 1 (= -1) at p = 2**31 - 1: all limbs near 2**11 and a
-    # basis of large entries, through blocks and through the deferred fix-up.
+    # basis of large entries, through blocks and through the folds of their
+    # new rows into it.
     p = DEFAULT_PRIME
     rng = np.random.default_rng(31)
     ncols = 40
@@ -290,6 +291,17 @@ def test_rank_accumulator_enforces_basis_row_bound(monkeypatch):
     assert acc.absorb(np.eye(3, 5, dtype=np.int64)) == 3
     with pytest.raises(SizingError, match="3 rows"):
         acc.absorb(np.eye(5, dtype=np.int64)[3:])
+
+
+def test_basis_row_bound_holds_across_strips_of_one_panel(monkeypatch):
+    # Strips of 2 columns: the first strip of the panel, columns 0 and 1,
+    # has one pivot (the rows agree there), and the second row's pivot is
+    # found on the next strip, past the bound of one row.
+    monkeypatch.setattr("segre_secant.field.PANEL_ROWS", 2)
+    monkeypatch.setattr("segre_secant.field.MAX_BASIS_ROWS", 1)
+    acc = RankAccumulator(5, F101)
+    with pytest.raises(SizingError, match="1 rows"):
+        acc.absorb(np.array([[1, 1, 0, 0, 0], [1, 1, 1, 0, 0]], dtype=np.int64))
 
 
 def _pivot_rows_match_row_rank_profile(p, ncols, data):
@@ -367,7 +379,7 @@ def test_transform_products_stay_exact_on_worst_case_entries(monkeypatch, panel)
     # Every entry p - 1 at p = 2**31 - 1 except two zeros per row: the walk's
     # transform has large entries, and with strips of 3 columns the rest of
     # each row and the earlier strips' rows go through the transform and
-    # clean-up products on entries of p - 1 and their combinations.
+    # fold products on entries of p - 1 and their combinations.
     monkeypatch.setattr("segre_secant.field.PANEL_ROWS", panel)
     p = DEFAULT_PRIME
     rng = np.random.default_rng(43)
