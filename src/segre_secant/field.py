@@ -24,6 +24,9 @@ refuses a basis of MAX_BASIS_ROWS rows or more.
 Those products are small, so OpenBLAS threads only add contention:
 ``one_blas_thread`` runs a computation on one thread and restores the
 caller's thread count afterwards; ``terracini.rank_profile`` runs in it.
+
+``is_prime`` caches its verdicts, so each modulus is proved prime once per
+process however many PrimeField objects are built over it.
 """
 
 from __future__ import annotations
@@ -63,6 +66,7 @@ _LIMB_BITS = 11
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 
+@functools.lru_cache(maxsize=64, typed=True)
 def is_prime(n: int) -> bool:
     """Deterministic Miller-Rabin primality test (exact for n < 3.3e24)."""
     if n < 2:
@@ -388,9 +392,11 @@ class RankAccumulator:
             np.take(self._E, kept, axis=1, out=E[:r], mode="clip")
             # E[:, cols] @ N with N split into limbs: the limb weights go
             # onto the thin factor E[:, cols], so the r x F result is
-            # reduced once.
-            work = _view(self._work, (r, kept.size))
-            _submul(E[:r], self._weighted(self._E[:, cols]), _limbs(N, self._shifts), p, work)
+            # reduced once.  A zero thin factor changes nothing.
+            thin = self._E[:, cols]
+            if thin.any():
+                work = _view(self._work, (r, kept.size))
+                _submul(E[:r], self._weighted(thin), _limbs(N, self._shifts), p, work)
         self._E = E
         self._store, self._spare = self._spare, self._store
         self._piv = np.concatenate([self._piv, self._free[cols]])
@@ -401,12 +407,13 @@ class RankAccumulator:
         """The rows of B reduced against the basis, on the free columns."""
         p = self.field.p
         R = B[:, self._free]
-        if not self._piv.size:
+        thin = B[:, self._piv]
+        if not thin.any():
             return R
         # -(limb l of B[:, piv]) @ E for all limbs in one product, each of
         # magnitude below p / 2 + 2, then summed with weights 2**(11 l):
         # with R added the sum stays below 2**53 and below 2**22 * p.
-        limbs = _limbs(B[:, self._piv], self._shifts)
+        limbs = _limbs(thin, self._shifts)
         Y = _submul(np.zeros((limbs.shape[0], R.shape[1])), limbs, self._E, p)
         x = (self._weights @ Y.reshape(self._weights.size, -1)).reshape(R.shape)
         x += R

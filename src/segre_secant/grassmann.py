@@ -159,8 +159,6 @@ def grassmann_defect(
     P^n x P^k: closed form for k = 1, Monte-Carlo otherwise; the returned
     dim is the expected Grassmann dimension minus that defect.
     """
-    if field is None:
-        field = PrimeField()
     expected = grassmann_expected_dim(query)
     if query.k == 1:
         verdict = classify(query.n, query.a, 1, query.s)
@@ -172,6 +170,8 @@ def grassmann_defect(
             tag=TAG_CLOSED_FORM,
             rule=verdict.rule,
         )
+    if field is None:
+        field = PrimeField()
     if query.k == 0:
         computed = veronese_secant_dimension(
             query.n, query.a, query.s, trials=trials, field=field, seed=seed,

@@ -411,6 +411,11 @@ PINNED_STDOUT = {
         "fa155a0ad5589ef36012c1796b9fd2d71efac81c121c2ff07e88c2014f97066b",
     ("grassmann", "--n-max", "3", "--a-max", "5"):
         "4e708a44fbb5991f26c340e1cf73b7d010f9bd0076a031bc2471f21c1a639d4b",
+    # The inputs of the benchmark's certificates workload.
+    ("grassmann", "--n-max", "5", "--a-max", "6"):
+        "6085a5f20e90a42d51855eb45320b109d060c067a3a167e1bbef67d573965d4b",
+    ("replay", "--n-max", "8", "--a-max", "10", "--b-max", "8"):
+        "fcc5cbae0825f5905009a2eca0bc301feecf7172c278ea6dd11a05483f8b6f5e",
 }
 
 

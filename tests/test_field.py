@@ -34,8 +34,19 @@ def test_default_primes_are_prime():
 
 @pytest.mark.parametrize("bad", [0, 1, 4, 100, 2147483646, 2**31, 2**31 + 11])
 def test_prime_field_rejects_bad_moduli(bad):
-    with pytest.raises((ValueError, TypeError)):
-        PrimeField(bad)
+    # is_prime is memoized: a refused modulus stays refused however often
+    # it is asked, before and after a good field is built.
+    for _ in range(3):
+        with pytest.raises((ValueError, TypeError)):
+            PrimeField(bad)
+        PrimeField(DEFAULT_PRIME)
+
+
+def test_repeated_fields_prove_their_modulus_once():
+    misses = is_prime.cache_info().misses
+    for _ in range(1000):
+        PrimeField(DEFAULT_PRIME)
+    assert is_prime.cache_info().misses - misses <= 1
 
 
 def test_is_prime_small_values():
@@ -43,7 +54,9 @@ def test_is_prime_small_values():
         return n >= 2 and all(n % d for d in range(2, int(n**0.5) + 1))
 
     for value in range(500):
-        assert is_prime(value) == trial_division(value), value
+        # The second ask is answered from the cache.
+        for _ in range(2):
+            assert is_prime(value) == trial_division(value), value
 
 
 def test_field_inverse():

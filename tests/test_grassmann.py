@@ -117,6 +117,15 @@ def test_corollary_curves_never_defective():
     assert all(cell.defect == 0 for cell in report.cells if cell.n == 1)
 
 
+def test_closed_form_builds_no_field(monkeypatch):
+    # The k = 1 verdict is closed form: it never reads a prime field.
+    def no_field(*args, **kwargs):
+        raise AssertionError("k = 1 built a PrimeField")
+
+    monkeypatch.setattr("segre_secant.grassmann.PrimeField", no_field)
+    assert check_corollary(3, 5).passed
+
+
 def test_corollary_bounds_validation():
     with pytest.raises(ValueError):
         check_corollary(1, 5)
