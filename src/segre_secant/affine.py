@@ -176,7 +176,7 @@ def secant_dimension_via_reduction(
         return gradient_rows(gammas, points, field.p)[1].reshape(k * nvars, -1)
 
     ranks = rank_profile(
-        gammas.shape[0], nvars, nvars, field, s, trials,
+        gammas.shape[0], nvars, field, s, trials,
         lambda trial: trial_rng(spec, seed, trial, field.p, _METHOD_AFFINE),
         panel_at,
     )

@@ -42,6 +42,7 @@ from .terracini import (
     RNG_DESCRIPTION,
     SegreVeroneseSpec,
     check_prime_bound,
+    check_profile_size,
     dimension_profile,
     secant_dimension,
 )
@@ -90,6 +91,8 @@ class SweepConfig:
             raise ValueError("all grid ranges must be nonempty")
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
+        if self.jobs < 1:
+            raise ValueError(f"--jobs must be >= 1, got {self.jobs}")
         if not self.primes:
             raise ValueError("need at least one prime")
         if self.s_policy == "list" and not self.s_list:
@@ -201,11 +204,12 @@ def _verify_cell(job) -> dict:
     (n, m, a, b, s_policy, s_list, trials, primes, seed, memory_budget) = job
     try:
         spec = SegreVeroneseSpec(n, m, a, b)
-        if s_policy == "uptoqstar":
-            s_values = tuple(range(1, invariants(n, m, a, b).qstar + 2))
-        else:
-            s_values = s_list
-        s_max = max(s_values)
+        s_max = invariants(n, m, a, b).qstar + 1 if s_policy == "uptoqstar" else max(s_list)
+        # The first prime's checks, in the order its profile makes them (the
+        # modulus, the prime bound, the budget), before anything here is
+        # sized by s_max.
+        check_profile_size(spec, s_max, PrimeField(primes[0]).p, memory_budget)
+        s_values = tuple(range(1, s_max + 1)) if s_policy == "uptoqstar" else s_list
         bound = [expected_dimension(n, m, a, b, s) for s in range(1, s_max + 1)]
         profiles = []
         for p in primes:

@@ -290,16 +290,16 @@ def _walk(C: np.ndarray, width: int, p: int) -> tuple[list[int], list[int]]:
         # The row is zero left of its first nonzero column, and the
         # transforms of rows 0..i are zero right of identity column i, so
         # the update touches only the columns in between.
-        col = int(nz[0])
+        col = nz.item(0)
         inv = pow(C.item(col, i), -1, p)
         block = C[col : min(C.shape[0], width + i + 1)]
         # Row j gets row i times -C[col, j] / C[col, i]; row i itself gets
         # row i times inv - 1, which normalizes it.
-        factors = block[0] * (p - inv) % p
+        factors = block[0] * (p - inv)
+        factors %= p
         factors[i] = inv - 1
-        update = np.multiply.outer(block[:, i], factors)
-        update += block
-        np.remainder(update, p, out=block)
+        block += block[:, i, None] * factors
+        block %= p
         rows.append(i)
         cols.append(col)
     return rows, cols

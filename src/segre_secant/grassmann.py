@@ -139,7 +139,7 @@ def veronese_secant_dimension(
         return gradient_rows(exps, points, field.p)[1].reshape(k * (n + 1), -1)
 
     ranks = rank_profile(
-        exps.shape[0], n + 1, n + 1, field, s, trials,
+        exps.shape[0], n + 1, field, s, trials,
         lambda trial: trial_rng(key_spec, seed, trial, field.p, _METHOD_VERONESE),
         panel_at,
     )

@@ -8,8 +8,10 @@ projective dimension of the s-th secant variety at generic points equals
 the rank of the s stacked tangent blocks minus one.
 
 The two bigraded Euler relations make one of the n + m + 2 partials per
-point redundant, so each block has rank n + m + 1 at a generic point; all
-partials are emitted anyway, which keeps the blocks self-checking.
+point redundant, so each block has rank n + m + 1 at a generic point.
+``tangent_block`` returns all of them, since it takes any representatives;
+the sampled points have x_0 = 1, where the partial in x_0 is a combination
+of the point's other rows, so ``dimension_profile`` never builds that row.
 
 Dually, the same evaluations read as linear conditions on coefficient
 vectors cut out the bidegree-(a, b) part of the ideal of s double points:
@@ -171,9 +173,9 @@ def trial_rng(spec, seed: int, trial: int, prime: int, method_id: int = _METHOD_
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=key))
 
 
-def panel_rows(rows_per_point: int, s_max: int) -> int:
+def panel_rows(point_rank: int, s_max: int) -> int:
     """Rows of the largest panel ``rank_profile`` absorbs for s_max points."""
-    return min(s_max, max(1, PANEL_ROWS // rows_per_point)) * rows_per_point
+    return min(s_max, max(1, PANEL_ROWS // point_rank)) * point_rank
 
 
 def check_memory_budget(what: str, ncols: int, block_rows: int, profile: int, memory_budget: int) -> None:
@@ -216,10 +218,23 @@ def tangent_block(alphas: np.ndarray, betas: np.ndarray, x: np.ndarray, y: np.nd
     the m+1 partials in the y variables.  Columns are alpha-major over
     (alphas, betas).
     """
+    return _tangent_rows(alphas, betas, x, y, p, 0)
+
+
+def _tangent_rows(
+    alphas: np.ndarray, betas: np.ndarray, x: np.ndarray, y: np.ndarray, p: int, first_x: int
+) -> np.ndarray:
+    """``tangent_block`` without the partials in x_0, ..., x_(first_x - 1).
+
+    Only the rows kept are built.  With first_x = 1 and x_0 = 1 the rows
+    dropped add nothing to the span: the bigraded Euler relation
+    b * sum_i x_i d/dx_i = a * sum_j y_j d/dy_j gives the partial in x_0 as
+    b^-1 (a * sum_j y_j d/dy_j - b * sum_(i >= 1) x_i d/dx_i), and p > b.
+    """
     vx, dx = gradient_rows(alphas, np.atleast_2d(x), p)
     vy, dy = gradient_rows(betas, np.atleast_2d(y), p)
     rows = np.concatenate(
-        [dx[:, :, :, None] * vy[:, None, None, :], vx[:, None, :, None] * dy[:, :, None, :]], axis=1
+        [dx[:, first_x:, :, None] * vy[:, None, None, :], vx[:, None, :, None] * dy[:, :, None, :]], axis=1
     )
     return (rows % p).reshape(-1, alphas.shape[0] * betas.shape[0])
 
@@ -260,7 +275,6 @@ def tangent_matrix(spec: SegreVeroneseSpec, points, field: PrimeField) -> Condit
 def rank_profile(
     ncols: int,
     point_rank: int,
-    rows_per_point: int,
     field: PrimeField,
     s_max: int,
     trials: int,
@@ -273,18 +287,18 @@ def rank_profile(
     Trial t streams its points through one fresh incremental rank
     accumulator (a nested point stream), so entry s - 1 is the rank of the
     rows of s points.  ``panel_at(rng, k)`` draws the next k points from
-    the trial's stream rng_for(t) and returns their rows, ``rows_per_point``
+    the trial's stream rng_for(t) and returns their rows, ``point_rank``
     per point, stacked in draw order; absorbing draws nothing, so each
     stream sees the same draws as sampling all points up front.  The rank
     after each point of a panel comes from the rows that became pivots
     (``RankAccumulator.pivot_rows``).
 
-    ``point_rank`` bounds the rank of every point's rows at every point, so
+    The point_rank rows of a point add at most point_rank to the rank, so
     the rank of s points is at most ceiling[s - 1] = min(ncols, s * point_rank).
-    For tangent blocks it is n + m + 1, not the n + m + 2 rows: the
-    bigraded Euler relation b * sum x_i d/dx_i = a * sum y_j d/dy_j ties
-    the rows at any point with x_0 = 1, because p > a + b (which
-    ``check_prime_bound`` implies) keeps a and b nonzero mod p.  Random
+    The rank after a point depends only on the span of its rows, so a
+    caller leaves out any row that lies in the span of the point's others:
+    the tangent path streams n + m + 1 rows per point, not the n + m + 2
+    of ``tangent_block`` (see ``_tangent_rows``).  Random
     evaluation can only underestimate a rank, so the loop stops early
     without changing the result: a trial draws no further point once its
     rank is ncols, and no further trial runs once the running max equals
@@ -292,7 +306,7 @@ def rank_profile(
     draws in one never shifts another.
 
     A panel holds min(points left, ceil((ncols - rank) / point_rank),
-    PANEL_ROWS // rows_per_point) points, at least one.  The middle term
+    PANEL_ROWS // point_rank) points, at least one.  The middle term
     is the fewest points that can fill the basis, so a panel never draws a
     point that a trial absorbing one point at a time would not draw.
 
@@ -304,10 +318,10 @@ def rank_profile(
         raise ValueError(f"{s_name} must be >= 1, got {s_max}")
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
-    panel_points = panel_rows(rows_per_point, s_max) // rows_per_point
+    panel_points = panel_rows(point_rank, s_max) // point_rank
     ceiling = np.minimum(ncols, point_rank * np.arange(1, s_max + 1))
     best = np.zeros(s_max, dtype=np.int64)
-    ends = rows_per_point * np.arange(1, panel_points + 1)
+    ends = point_rank * np.arange(1, panel_points + 1)
     with one_blas_thread():
         for trial in range(trials):
             rng = rng_for(trial)
@@ -326,6 +340,20 @@ def rank_profile(
     return best
 
 
+def check_profile_size(spec: SegreVeroneseSpec, s_max: int, p: int, memory_budget: int) -> None:
+    """The checks ``dimension_profile`` makes before it builds anything.
+
+    ``check_prime_bound`` at s_max, then ``check_memory_budget`` of the
+    tangent rank profile; a caller can run them before sizing its own work
+    by s_max and get the same refusal.
+    """
+    check_prime_bound(spec, s_max, p)
+    check_memory_budget(
+        f"tangent rank profile for {spec} with s={s_max}", spec.N + 1,
+        panel_rows(spec.dim + 1, s_max), s_max, memory_budget,
+    )
+
+
 def dimension_profile(
     spec: SegreVeroneseSpec,
     s_max: int,
@@ -337,15 +365,12 @@ def dimension_profile(
     """Monte-Carlo dimensions of sigma_s for every s = 1..s_max at once.
 
     The rank profile of tangent blocks (see ``rank_profile``) minus one:
-    entry s - 1 holds dim sigma_s.
+    entry s - 1 holds dim sigma_s.  Each point streams its n + m + 1 rows
+    other than the partial in x_0, which at x_0 = 1 lies in their span.
     """
     if field is None:
         field = PrimeField(DEFAULT_PRIME)
-    check_prime_bound(spec, s_max, field.p)
-    check_memory_budget(
-        f"tangent rank profile for {spec} with s={s_max}", spec.N + 1,
-        panel_rows(spec.dim + 2, s_max), s_max, memory_budget,
-    )
+    check_profile_size(spec, s_max, field.p, memory_budget)
     alphas = exponent_vectors(spec.a, spec.n + 1)
     betas = exponent_vectors(spec.b, spec.m + 1)
 
@@ -357,10 +382,10 @@ def dimension_profile(
         ones = np.ones((k, 1), dtype=np.int64)
         x = np.hstack([ones, coords[:, : spec.n]])
         y = np.hstack([ones, coords[:, spec.n :]])
-        return tangent_block(alphas, betas, x, y, field.p)
+        return _tangent_rows(alphas, betas, x, y, field.p, 1)
 
     ranks = rank_profile(
-        alphas.shape[0] * betas.shape[0], spec.dim + 1, spec.dim + 2, field, s_max, trials,
+        alphas.shape[0] * betas.shape[0], spec.dim + 1, field, s_max, trials,
         lambda trial: trial_rng(spec, seed, trial, field.p, _METHOD_TANGENT),
         panel_at, s_name="s_max",
     )

@@ -3,10 +3,14 @@ import dataclasses
 import hashlib
 import io
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
-from segre_secant import SecantReport, cli
+import segre_secant
+from segre_secant import SecantReport, SegreVeroneseSpec, SizingError, cli, dimension_profile
 from segre_secant.cli import CSV_COLUMNS, EXIT_DISCREPANCY, EXIT_OK, EXIT_USAGE, main
 from segre_secant.numerology import ClassificationVerdict
 
@@ -250,6 +254,38 @@ def test_verify_cell_error_exits_one(capsys):
     assert payload["summary"]["discrepancies"] == 1
     assert "budget is 10" in payload["errors"][0]["error"]
     assert "cell (1, 1, 1, 1): " in err
+
+
+def test_verify_refuses_a_huge_s_list_before_sizing_the_cell():
+    # The first prime's checks run before the cell builds anything of s_max
+    # entries, so s = 10**8 is refused at once, in a fresh interpreter with
+    # a time limit, and with the text dimension_profile raises.  The count
+    # is three profile arrays of 10**8, 3 * (16 // 4) basis entries and a
+    # panel of 10 points of n + m + 1 = 3 rows on 4 columns.
+    argv = ["verify", "--s-policy", "list", "--s-list", "100000000", "--n-max", "1", "--a-max", "1", "--b-max", "1"]
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(segre_secant.__file__)))
+    proc = subprocess.run(
+        [sys.executable, "-m", "segre_secant.cli", *argv], capture_output=True, text=True, env=env, timeout=2
+    )
+    message = (
+        "tangent rank profile for SegreVeroneseSpec(n=1, m=1, a=1, b=1) with s=100000000 "
+        "needs 300000132 entries, budget is 33554432"
+    )
+    assert proc.returncode == EXIT_USAGE
+    assert json.loads(proc.stdout)["errors"] == [{"cell": [1, 1, 1, 1], "error": message}]
+    assert proc.stderr == f"cells / agreements / discrepancies: 0 / 0 / 1\ncell (1, 1, 1, 1): {message}\n"
+    with pytest.raises(SizingError) as excinfo:
+        dimension_profile(SegreVeroneseSpec(1, 1, 1, 1), 100000000)
+    assert str(excinfo.value) == message
+
+
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_verify_refuses_jobs_below_one(capsys, jobs):
+    code, out, err = run(capsys, ["verify", "--n-max", "1", "--a-max", "1", "--b-max", "1", "--jobs", jobs])
+    assert (code, out) == (EXIT_USAGE, "")
+    assert err == f"segre-secant: error: --jobs must be >= 1, got {jobs}\n"
+    with pytest.raises(ValueError, match="--jobs must be >= 1"):
+        _sweep((1,), (1,), (1,), int(jobs))
 
 
 class _SerialPool:

@@ -287,7 +287,10 @@ def test_early_stop_matches_full_loop(cell, s_max, trials, small_prime, seed):
     full = full_rank_profile(ncols, field, s_max, trials, rng_for, tangent_at)
     dims = dimension_profile(spec, s_max, trials=trials, field=field, seed=seed)
     assert dims.tolist() == [r - 1 for r in full]
-    panels = rank_profile(ncols, spec.dim + 1, spec.dim + 2, field, s_max, trials, rng_for, _panel_of(tangent_at))
+    # The oracle absorbs all n + m + 2 rows of each point; the profile
+    # streams the n + m + 1 other than the partial in x_0, as
+    # dimension_profile does.
+    panels = rank_profile(ncols, spec.dim + 1, field, s_max, trials, rng_for, _panel_of(lambda rng: tangent_at(rng)[1:]))
     assert panels.tolist() == full
 
     scheme = AffineSchemeSpec(n, m, a, b, s_max)
@@ -302,7 +305,7 @@ def test_early_stop_matches_full_loop(cell, s_max, trials, small_prime, seed):
     full = full_rank_profile(ncols, field, s_max, trials, rng_for, double_point_at)
     report = secant_dimension_via_reduction(spec, s_max, trials=trials, field=field, seed=seed)
     assert report.computed_dim == full[-1] - 1
-    panels = rank_profile(ncols, spec.dim + 1, spec.dim + 1, field, s_max, trials, rng_for, _panel_of(double_point_at))
+    panels = rank_profile(ncols, spec.dim + 1, field, s_max, trials, rng_for, _panel_of(double_point_at))
     assert panels.tolist() == full
 
     # The plain Veronese of degree a on P^n, stream key (n, 0, a, 0).
@@ -319,7 +322,7 @@ def test_early_stop_matches_full_loop(cell, s_max, trials, small_prime, seed):
 
     full = full_rank_profile(cols, field, s_max, trials, rng_for, veronese_at)
     assert veronese_secant_dimension(n, a, s_max, trials=trials, field=field, seed=seed) == full[-1] - 1
-    panels = rank_profile(cols, n + 1, n + 1, field, s_max, trials, rng_for, _panel_of(veronese_at))
+    panels = rank_profile(cols, n + 1, field, s_max, trials, rng_for, _panel_of(veronese_at))
     assert panels.tolist() == full
 
 
@@ -345,8 +348,39 @@ def test_rank_profile_matches_full_loop_on_random_blocks(p, ncols, rows, s_max, 
         return rng.integers(0, p, size=(rows, ncols))
 
     full = full_rank_profile(ncols, field, s_max, trials, rng_for, block_at)
-    profile = rank_profile(ncols, rows, rows, field, s_max, trials, rng_for, _panel_of(block_at))
+    profile = rank_profile(ncols, rows, field, s_max, trials, rng_for, _panel_of(block_at))
     assert profile.tolist() == full
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    cell=st.tuples(st.integers(1, 3), st.integers(1, 3), st.integers(1, 4), st.integers(1, 4)),
+    k=st.integers(1, 3),
+    which=st.integers(0, 2),
+    data=st.data(),
+)
+def test_x0_partial_is_the_euler_combination_at_chart_points(cell, k, which, data):
+    # At x_0 = y_0 = 1 the bigraded Euler relation
+    # b * sum_i x_i d/dx_i = a * sum_j y_j d/dy_j gives the partial in x_0
+    # as b^-1 (a * sum_j y_j d/dy_j - b * sum_(i >= 1) x_i d/dx_i) mod p,
+    # for the primes just above a + b as for 2**31 - 1.  The rows
+    # dimension_profile streams are the others, in tangent_block's order.
+    n, m, a, b = cell
+    small = _prime_above(a + b)
+    p = (small, _prime_above(small), DEFAULT_PRIME)[which]
+    coords = st.lists(st.integers(0, p - 1), min_size=n + m, max_size=n + m)
+    drawn = np.array(data.draw(st.lists(coords, min_size=k, max_size=k)), dtype=np.int64).reshape(k, n + m)
+    ones = np.ones((k, 1), dtype=np.int64)
+    xs, ys = np.hstack([ones, drawn[:, :n]]), np.hstack([ones, drawn[:, n:]])
+    alphas, betas = exponent_vectors(a, n + 1), exponent_vectors(b, m + 1)
+    block = tangent_block(alphas, betas, xs, ys, p)
+    rows = block.astype(object).reshape(k, n + m + 2, -1)
+    for point, x, y in zip(rows, xs.tolist(), ys.tolist()):
+        dx, dy = point[: n + 1], point[n + 1 :]
+        combination = a * sum(yj * row for yj, row in zip(y, dy)) - b * sum(xi * row for xi, row in zip(x[1:], dx[1:]))
+        assert (pow(b, -1, p) * combination % p).tolist() == dx[0].tolist()
+    others = block.reshape(k, n + m + 2, -1)[:, 1:].reshape(k * (n + m + 1), -1)
+    assert np.array_equal(terracini._tangent_rows(alphas, betas, xs, ys, p, 1), others)
 
 
 class _CountingRng:
@@ -374,15 +408,16 @@ def test_early_stop_absorbs_only_needed_blocks(monkeypatch):
     monkeypatch.setattr(terracini, "trial_rng", lambda *key: _CountingRng(original_rng(*key), draws))
     # Nondefective: the first trial reaches min(30, 4s) at every s and fills
     # the basis at its 8th point, so nothing else is drawn or absorbed.
-    # Each point draws its n + m = 3 coordinates after the leading ones.
+    # Each point draws its n + m = 3 coordinates after the leading ones and
+    # streams its n + m + 1 = 4 rows other than the partial in x_0.
     dimension_profile(SegreVeroneseSpec(2, 1, 3, 2), 10, trials=3, field=FIELD)
-    assert sum(rows) == 8 * 5
+    assert sum(rows) == 8 * 4
     assert sum(k for k, _ in draws) == 8 and {width for _, width in draws} == {3}
     # Defective at s = 5 (rank 19 of 20): every trial draws every point.
     rows.clear()
     draws.clear()
     dimension_profile(SegreVeroneseSpec(2, 1, 3, 1), 5, trials=3, field=FIELD)
-    assert sum(rows) == 15 * 5
+    assert sum(rows) == 15 * 4
     assert sum(k for k, _ in draws) == 15 and {width for _, width in draws} == {3}
 
 
@@ -406,16 +441,18 @@ def test_panel_draws_equal_point_draws(p):
 
 def test_tangent_panels_are_drawn_at_sample_point_points(monkeypatch):
     # The points dimension_profile evaluates are those of sample_point calls
-    # on the trial's stream, x then y per point, in order.
+    # on the trial's stream, x then y per point, in order, and their rows
+    # start after the partial in x_0.
     spec = SegreVeroneseSpec(2, 1, 2, 3)
     seen = []
-    original = terracini.tangent_block
+    original = terracini._tangent_rows
 
-    def recording(alphas, betas, x, y, p):
+    def recording(alphas, betas, x, y, p, first_x):
+        assert first_x == 1
         seen.append((x, y))
-        return original(alphas, betas, x, y, p)
+        return original(alphas, betas, x, y, p, first_x)
 
-    monkeypatch.setattr(terracini, "tangent_block", recording)
+    monkeypatch.setattr(terracini, "_tangent_rows", recording)
     dimension_profile(spec, 6, trials=1, field=FIELD, seed=3)
     xs = np.vstack([x for x, _ in seen])
     ys = np.vstack([y for _, y in seen])
@@ -482,7 +519,7 @@ def _profile_with(blas, monkeypatch, fail=False):
             raise RuntimeError("panel failed")
         return rng.integers(0, 101, size=(k, 4))
 
-    rank_profile(4, 1, 1, PrimeField(101), 3, 2, np.random.default_rng, panel_at)
+    rank_profile(4, 1, PrimeField(101), 3, 2, np.random.default_rng, panel_at)
     return seen
 
 
@@ -522,7 +559,7 @@ def test_memory_check_counts_what_a_profile_allocates(monkeypatch):
     # never absorbs more rows or holds larger buffers than were counted.
     spec = SegreVeroneseSpec(3, 1, 3, 2)
     ncols, s_max = spec.N + 1, 12
-    panel = terracini.panel_rows(spec.dim + 2, s_max)
+    panel = terracini.panel_rows(spec.dim + 1, s_max)
     need = panel * ncols + 3 * (ncols * ncols // 4) + 3 * s_max
     with pytest.raises(SizingError, match=f"needs {need} entries, budget is {need - 1}"):
         dimension_profile(spec, s_max, trials=1, field=FIELD, memory_budget=need - 1)
