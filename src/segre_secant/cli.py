@@ -36,7 +36,14 @@ from .affine import GenericityError, secant_dimension_via_reduction
 from .field import DEFAULT_PRIME, SECOND_PRIME, PrimeField, SizingError, _openblas_thread_calls, one_blas_thread
 from .grassmann import check_corollary
 from .induction import replay_main_theorem
-from .numerology import classify, closed_form_e, closed_form_estar, expected_dimension, invariants
+from .numerology import (
+    classify,
+    closed_form_e,
+    closed_form_estar,
+    expected_dimension,
+    expected_dimensions,
+    invariants,
+)
 from .terracini import (
     DEFAULT_MEMORY_BUDGET,
     RNG_DESCRIPTION,
@@ -210,7 +217,7 @@ def _verify_cell(job) -> dict:
         # sized by s_max.
         check_profile_size(spec, s_max, PrimeField(primes[0]).p, memory_budget)
         s_values = tuple(range(1, s_max + 1)) if s_policy == "uptoqstar" else s_list
-        bound = [expected_dimension(n, m, a, b, s) for s in range(1, s_max + 1)]
+        bound = expected_dimensions(n, m, a, b, s_max)
         profiles = []
         for p in primes:
             field = PrimeField(p)

@@ -27,7 +27,7 @@ import numpy as np
 
 from .field import ConditionMatrix, PrimeField
 from .monomials import exponent_vectors, gradient_rows
-from .numerology import classify
+from .numerology import check_sweep_size, classify
 from .terracini import (
     DEFAULT_MEMORY_BUDGET,
     SegreVeroneseSpec,
@@ -231,12 +231,19 @@ class CorollaryReport:
 def check_corollary(n_max: int, a_max: int) -> CorollaryReport:
     """Sweep k = 1 over all valid (n, a, s) with n <= n_max, a <= a_max.
 
+    The sweep has sum (C(n+a, n) - 2) cells, and is refused past
+    MAX_SWEEP_CELLS.
+
     Expected outcome: defect 0 everywhere except (2, 3, 5), where the defect
     is 1 (and dim Sec_(1,4) of the cubic Veronese surface is 15 against an
     expected 16).
     """
     if n_max < 2 or a_max < 2:
         raise ValueError(f"bounds must be >= 2, got ({n_max}, {a_max})")
+    check_sweep_size(
+        f"the k = 1 corollary sweep up to ({n_max}, {a_max})",
+        (comb(n + a, n) - 2 for n in range(1, n_max + 1) for a in range(1, a_max + 1)),
+    )
     cells = []
     for n in range(1, n_max + 1):
         for a in range(1, a_max + 1):

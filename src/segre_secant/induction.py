@@ -37,7 +37,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb
 
-from .numerology import _base_rule, closed_form_e, closed_form_estar, invariants
+from .numerology import _base_rule, check_sweep_size, closed_form_e, closed_form_estar, invariants
 
 CASES = ("a", "b", "c", "d", "e")
 
@@ -279,16 +279,21 @@ def _replay_cell(n: int, a: int, b: int) -> ReplayCell:
 def replay_main_theorem(n_max: int, a_max: int, b_max: int) -> ReplayReport:
     """Check (1), (3*), (4) and the routed certificate on every inductive cell.
 
-    Covers 3 <= n <= n_max, 4 <= a <= a_max, 1 <= b <= b_max.  A failing cell
-    indicates an implementation or transcription bug: the classification
-    proves every cell passes.  Cells below the inductive thresholds are
-    attributed to the imported base results instead of being checked.
+    Covers 3 <= n <= n_max, 4 <= a <= a_max, 1 <= b <= b_max, and refuses a
+    grid of more than MAX_SWEEP_CELLS cells.  A failing cell indicates an
+    implementation or transcription bug: the classification proves every
+    cell passes.  Cells below the inductive thresholds are attributed to the
+    imported base results instead of being checked.
     """
     if n_max < 3 or a_max < 4 or b_max < 1:
         raise ValueError(
             f"the inductive region starts at n = 3, a = 4, b = 1; "
             f"got bounds ({n_max}, {a_max}, {b_max})"
         )
+    check_sweep_size(
+        f"the replay grid up to ({n_max}, {a_max}, {b_max})",
+        [(n_max - 2) * (a_max - 3) * b_max],
+    )
     cells = tuple(
         _replay_cell(n, a, b)
         for n in range(3, n_max + 1)

@@ -32,12 +32,13 @@ dimension min(N, s(n+2) - 1) except for:
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass
 from functools import lru_cache
 from math import comb
 
-from .terracini import SegreVeroneseSpec, dimension_profile, expected_secant_dimension
+import numpy as np
+
+from .terracini import SegreVeroneseSpec, dimension_profile
 
 RULE_MAIN = "main-theorem"
 RULE_CGG = "cgg-p1p1"
@@ -55,9 +56,24 @@ RULES = (
     RULE_ABRESCIA_3B,
 )
 
+#: Most cells one closed-form sweep (``induction.replay_main_theorem`` or
+#: ``grassmann.check_corollary``) runs, counted from its bounds before any
+#: cell runs.  A replay at the limit takes about a second and its JSON
+#: output is about 6 MB.
+MAX_SWEEP_CELLS = 20_000
+
 
 class ScanBudgetError(RuntimeError):
     """An e/e* scan ran out of its s budget before finding the threshold."""
+
+
+def check_sweep_size(sweep: str, cell_counts) -> None:
+    """Refuse a sweep whose cells, summed lazily over cell_counts, pass MAX_SWEEP_CELLS."""
+    total = 0
+    for count in cell_counts:
+        total += count
+        if total > MAX_SWEEP_CELLS:
+            raise ValueError(f"{sweep} has more than MAX_SWEEP_CELLS = {MAX_SWEEP_CELLS} cells")
 
 
 @dataclass(frozen=True)
@@ -69,16 +85,36 @@ class Numerology:
     qstar: int
 
 
+def _ambient(n: int, m: int, a: int, b: int) -> int:
+    """N + 1 = C(n+a, n) * C(m+b, m), the number of bidegree-(a, b) monomials."""
+    if min(n, m, a, b) < 1:
+        raise ValueError(f"n, m, a, b must all be >= 1, got ({n}, {m}, {a}, {b})")
+    return comb(n + a, n) * comb(m + b, m)
+
+
 @lru_cache(maxsize=None)
 def invariants(n: int, m: int, a: int, b: int) -> Numerology:
     """The integers q, r, q* for the (n, m, a, b) embedding, exact."""
-    q, r = divmod(SegreVeroneseSpec(n, m, a, b).N + 1, n + m + 1)
+    q, r = divmod(_ambient(n, m, a, b), n + m + 1)
     return Numerology(q=q, r=r, qstar=q if r == 0 else q + 1)
 
 
 def expected_dimension(n: int, m: int, a: int, b: int, s: int) -> int:
     """min(N, s(n+m+1) - 1)."""
-    return expected_secant_dimension(SegreVeroneseSpec(n, m, a, b), s)
+    ambient = _ambient(n, m, a, b)
+    if s < 1:
+        raise ValueError(f"s must be >= 1, got {s}")
+    return min(ambient, s * (n + m + 1)) - 1
+
+
+def expected_dimensions(n: int, m: int, a: int, b: int, s_max: int) -> np.ndarray:
+    """expected_dimension(n, m, a, b, s) for s = 1..s_max, as one int64 array."""
+    ambient = _ambient(n, m, a, b)
+    if s_max < 1:
+        raise ValueError(f"s must be >= 1, got {s_max}")
+    linear = np.arange(1, s_max + 1, dtype=np.int64) * (n + m + 1)
+    # N + 1 may pass the int64 range; capped at the last linear count, it fits.
+    return np.minimum(linear, min(ambient, int(linear[-1]))) - 1
 
 
 @dataclass(frozen=True)
@@ -122,6 +158,25 @@ def _base_rule(n: int, a: int) -> str:
     return RULE_MAIN
 
 
+def _defective_run(n: int, a: int, b: int) -> tuple[int, int, int] | None:
+    """(first, end, d) when sigma_s is defective exactly for first <= s < end.
+
+    d is the half-degree of a (2, 2d) window, and 0 for the sporadic run
+    {5} of (n, a, b) = (2, 3, 1).  None when every sigma_s has the expected
+    dimension.
+    """
+    # On P^1 x P^1 the two factors play symmetric roles; canonicalize so the
+    # (2, 2d) test below covers the swapped shapes (2d, 2) as well.
+    if n == 1 and a > b:
+        a, b = b, a
+    if n == 2 and (a, b) == (3, 1):
+        return 5, 6, 0
+    if a == 2 and b % 2 == 0:
+        d = b // 2
+        return d * (n + 1) + 1, (d + 1) * (n + 1), d
+    return None
+
+
 @lru_cache(maxsize=None)
 def classify(n: int, a: int, b: int, s: int) -> ClassificationVerdict:
     """Dimension and defect of sigma_s for the P^n x P^1 embedding in (a, b).
@@ -132,42 +187,42 @@ def classify(n: int, a: int, b: int, s: int) -> ClassificationVerdict:
     the main-theorem tag, the (2, 2d) windows carry the source of the defect
     formula.
     """
-    expected = expected_secant_dimension(SegreVeroneseSpec(n, 1, a, b), s)
-    # On P^1 x P^1 the two factors play symmetric roles; canonicalize so the
-    # (2, 2d) test below covers the swapped shapes (2d, 2) as well.
-    ca, cb = (b, a) if n == 1 and a > b else (a, b)
-    if n == 2 and (ca, cb) == (3, 1) and s == 5:
+    expected = expected_dimension(n, 1, a, b, s)
+    run = _defective_run(n, a, b)
+    if run is None or not run[0] <= s < run[1]:
+        return ClassificationVerdict(False, 0, expected, _base_rule(n, a))
+    d = run[2]
+    if d == 0:
         return ClassificationVerdict(True, 1, expected - 1, RULE_MAIN)
-    if ca == 2 and cb % 2 == 0:
-        d = cb // 2
-        if d * (n + 1) + 1 <= s <= (d + 1) * (n + 1) - 1:
-            dim = s * (n + 2) - 1 - window_deficiency(n, d, s)
-            rule = RULE_CGG if n == 1 else RULE_ABRESCIA_2B
-            return ClassificationVerdict(True, expected - dim, dim, rule)
-    return ClassificationVerdict(False, 0, expected, _base_rule(n, ca))
+    dim = s * (n + 2) - 1 - window_deficiency(n, d, s)
+    rule = RULE_CGG if n == 1 else RULE_ABRESCIA_2B
+    return ClassificationVerdict(True, expected - dim, dim, rule)
 
 
-# Both thresholds are found by bisection: a tangent block raises the rank by
-# at most n + 2 (one of its n + 3 partials is redundant by the bigraded Euler
-# relation) and the rank never falls, so full growth s(n+2) - 1 fails for
-# every s past the first failure, and filling holds for every s past the first.
-@lru_cache(maxsize=None)
+# Outside its defective run sigma_s has the expected dimension
+# min(N, s(n+2) - 1), so full growth s(n+2) - 1 holds exactly for s <= q and
+# filling (dim = N) exactly for s >= q*; inside the run neither holds.  A
+# tangent block raises the rank by at most n + 2 (one of its n + 3 partials is
+# redundant by the bigraded Euler relation) and the rank never falls, so full
+# growth fails for every s past the first failure and filling holds for every
+# s past the first.  Hence, with the run first <= s < end,
+#
+#     e  = q                when there is no run, min(q, first - 1) otherwise,
+#     e* = end              when first <= q* < end, q* otherwise.
 def closed_form_e(n: int, a: int, b: int) -> int:
     """Largest s whose closed-form dimension equals s(n+2) - 1 (m = 1)."""
-    scan = range(1, invariants(n, 1, a, b).qstar + n + 3)
-    # The number of leading s with full growth is the last such s.
-    return bisect_left(scan, True, key=lambda s: classify(n, a, b, s).dim != s * (n + 2) - 1)
+    q = invariants(n, 1, a, b).q
+    run = _defective_run(n, a, b)
+    return q if run is None else min(q, run[0] - 1)
 
 
-@lru_cache(maxsize=None)
 def closed_form_estar(n: int, a: int, b: int) -> int:
     """Smallest s whose closed-form dimension equals N (m = 1)."""
-    scan = range(1, invariants(n, 1, a, b).qstar + n + 3)
-    N = comb(n + a, n) * (b + 1) - 1
-    i = bisect_left(scan, True, key=lambda s: classify(n, a, b, s).dim == N)
-    if i == len(scan):
-        raise AssertionError(f"no filling s within the scan bound for ({n}, {a}, {b})")
-    return scan[i]
+    qstar = invariants(n, 1, a, b).qstar
+    run = _defective_run(n, a, b)
+    if run is not None and run[0] <= qstar < run[1]:
+        return run[1]
+    return qstar
 
 
 def computed_e(

@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+from math import comb
 
 import pytest
 
@@ -19,6 +20,14 @@ def run(capsys, argv):
     code = main(argv)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def run_fresh(argv, timeout):
+    """The CLI in a fresh interpreter, killed after timeout seconds."""
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(segre_secant.__file__)))
+    return subprocess.run(
+        [sys.executable, "-m", "segre_secant.cli", *argv], capture_output=True, text=True, env=env, timeout=timeout
+    )
 
 
 def test_dim_sporadic_case_json(capsys):
@@ -263,10 +272,7 @@ def test_verify_refuses_a_huge_s_list_before_sizing_the_cell():
     # is three profile arrays of 10**8, 3 * (16 // 4) basis entries and a
     # panel of 10 points of n + m + 1 = 3 rows on 4 columns.
     argv = ["verify", "--s-policy", "list", "--s-list", "100000000", "--n-max", "1", "--a-max", "1", "--b-max", "1"]
-    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(segre_secant.__file__)))
-    proc = subprocess.run(
-        [sys.executable, "-m", "segre_secant.cli", *argv], capture_output=True, text=True, env=env, timeout=2
-    )
+    proc = run_fresh(argv, timeout=2)
     message = (
         "tangent rank profile for SegreVeroneseSpec(n=1, m=1, a=1, b=1) with s=100000000 "
         "needs 300000132 entries, budget is 33554432"
@@ -277,6 +283,18 @@ def test_verify_refuses_a_huge_s_list_before_sizing_the_cell():
     with pytest.raises(SizingError) as excinfo:
         dimension_profile(SegreVeroneseSpec(1, 1, 1, 1), 100000000)
     assert str(excinfo.value) == message
+
+
+def test_verify_s_list_of_a_million_builds_its_bound_at_once():
+    # The bound is one numpy range, not a million expected_dimension calls.
+    # (1, 1, 1, 1) fills P^3 at s = 2, so the first prime's profile equals
+    # the bound and the second prime is never computed.
+    argv = ["verify", "--s-policy", "list", "--s-list", "1000000", "--n-max", "1", "--a-max", "1", "--b-max", "1"]
+    proc = run_fresh(argv, timeout=2)
+    assert proc.returncode == EXIT_OK
+    (row,) = json.loads(proc.stdout)["cells"]
+    assert (row["s"], row["expected_dim"], row["computed_dim"], row["prime"]) == (1000000, 3, 3, 2147483647)
+    assert proc.stderr == "cells / agreements / discrepancies: 1 / 1 / 0\n"
 
 
 @pytest.mark.parametrize("jobs", ["0", "-3"])
@@ -535,3 +553,29 @@ def test_numerology_cli(capsys):
     assert code == EXIT_OK
     rows = list(csv.reader(io.StringIO(out)))
     assert "e" not in rows[0]  # no closed form away from m = 1
+
+
+def test_numerology_answers_any_size():
+    # q* is about 10**35 here: the thresholds come from where the defective
+    # run starts and ends, with no scan over s.
+    proc = run_fresh(["numerology", "--n", "60", "--m", "1", "--a", "60", "--b", "60"], timeout=2)
+    assert proc.returncode == EXIT_OK
+    payload = json.loads(proc.stdout)
+    q, r = divmod(comb(120, 60) * 61, 62)
+    assert (payload["N"], payload["q"], payload["r"]) == (comb(120, 60) * 61 - 1, q, r)
+    assert payload["e"] == payload["q"]
+    assert payload["estar"] == payload["qstar"]
+
+
+@pytest.mark.parametrize(
+    "argv, sweep",
+    [
+        (["replay", "--n-max", "40", "--a-max", "40", "--b-max", "40"], "the replay grid up to (40, 40, 40)"),
+        (["grassmann", "--n-max", "60", "--a-max", "60"], "the k = 1 corollary sweep up to (60, 60)"),
+    ],
+    ids=["replay", "grassmann"],
+)
+def test_oversized_sweeps_are_refused_before_any_cell(argv, sweep):
+    proc = run_fresh(argv, timeout=2)
+    assert (proc.returncode, proc.stdout) == (EXIT_USAGE, "")
+    assert proc.stderr == f"segre-secant: error: {sweep} has more than MAX_SWEEP_CELLS = 20000 cells\n"

@@ -1,13 +1,16 @@
+import itertools
 from math import comb
 
 import pytest
 
 from segre_secant import numerology
+from segre_secant.numerology import MAX_SWEEP_CELLS, check_sweep_size, expected_dimensions
 from segre_secant import (
     ClassificationVerdict,
     Numerology,
     ScanBudgetError,
     SegreVeroneseSpec,
+    check_corollary,
     classify,
     closed_form_e,
     closed_form_estar,
@@ -15,6 +18,7 @@ from segre_secant import (
     computed_estar,
     expected_dimension,
     invariants,
+    replay_main_theorem,
     window_deficiency,
 )
 
@@ -134,6 +138,20 @@ def test_threshold_sandwich_on_grid():
                 assert e <= num.q <= num.qstar <= estar, (n, a, b)
 
 
+def test_expected_dimensions_match_expected_dimension():
+    # The array form equals the scalar one at every s, on both sides of the
+    # cap at N, and with an N + 1 past the int64 range.
+    for n, m, a, b in [(1, 1, 1, 1), (2, 1, 3, 1), (3, 2, 2, 4), (4, 1, 5, 5)]:
+        s_max = invariants(n, m, a, b).qstar + 3
+        reference = [expected_dimension(n, m, a, b, s) for s in range(1, s_max + 1)]
+        assert expected_dimensions(n, m, a, b, s_max).tolist() == reference
+    assert comb(80, 40) ** 2 > 2**63
+    assert expected_dimensions(40, 40, 40, 40, 3).tolist() == [80, 161, 242]
+    assert expected_dimensions(1, 1, 1, 1, 1).tolist() == [2]
+    with pytest.raises(ValueError, match=r"^s must be >= 1, got 0$"):
+        expected_dimensions(1, 1, 1, 1, 0)
+
+
 @pytest.mark.parametrize(
     "n, a, b, e, estar",
     [
@@ -149,11 +167,11 @@ def test_closed_form_threshold_examples(n, a, b, e, estar):
 
 
 def test_closed_form_thresholds_match_linear_scan():
-    # n <= 6, a, b <= 8 holds the sporadic cell (2, 3, 1) and the (2, 2d)
-    # windows, with their swapped shapes (2d, 2) on P^1 x P^1.
-    for n in range(1, 7):
-        for a in range(1, 9):
-            for b in range(1, 9):
+    # n <= 8, a, b <= 12 holds the sporadic cell (2, 3, 1) and the (2, 2d)
+    # windows up to d = 6, with their swapped shapes (2d, 2) on P^1 x P^1.
+    for n in range(1, 9):
+        for a in range(1, 13):
+            for b in range(1, 13):
                 s_max = invariants(n, 1, a, b).qstar + n + 2
                 dims = [classify.__wrapped__(n, a, b, s).dim for s in range(1, s_max + 1)]
                 N = comb(n + a, n) * (b + 1) - 1
@@ -203,6 +221,64 @@ def test_scan_budget_errors():
         computed_estar(spec, budget=3)  # filling happens at s = 6
     with pytest.raises(ValueError):
         computed_e(spec, budget=0)
+
+
+_SPEC_BELOW_ONE = "n, m, a, b must all be >= 1, got "
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: classify(0, 1, 1, 1), _SPEC_BELOW_ONE + "(0, 1, 1, 1)"),
+        (lambda: classify(2, 0, 3, 4), _SPEC_BELOW_ONE + "(2, 1, 0, 3)"),
+        (lambda: classify(2, 3, -1, 4), _SPEC_BELOW_ONE + "(2, 1, 3, -1)"),
+        (lambda: classify(2, 3, 1, 0), "s must be >= 1, got 0"),
+        (lambda: classify(0, 3, 1, 0), _SPEC_BELOW_ONE + "(0, 1, 3, 1)"),
+        (lambda: invariants(0, 1, 2, 2), _SPEC_BELOW_ONE + "(0, 1, 2, 2)"),
+        (lambda: invariants(2, 0, 2, 2), _SPEC_BELOW_ONE + "(2, 0, 2, 2)"),
+        (lambda: invariants(2, 1, 0, 2), _SPEC_BELOW_ONE + "(2, 1, 0, 2)"),
+        (lambda: invariants(2, 1, 2, -5), _SPEC_BELOW_ONE + "(2, 1, 2, -5)"),
+        (lambda: expected_dimension(-1, 1, 2, 2, 3), _SPEC_BELOW_ONE + "(-1, 1, 2, 2)"),
+        (lambda: expected_dimension(2, 0, 2, 2, 3), _SPEC_BELOW_ONE + "(2, 0, 2, 2)"),
+        (lambda: expected_dimension(2, 1, 0, 2, 3), _SPEC_BELOW_ONE + "(2, 1, 0, 2)"),
+        (lambda: expected_dimension(2, 1, 2, 0, 3), _SPEC_BELOW_ONE + "(2, 1, 2, 0)"),
+        (lambda: expected_dimension(2, 1, 2, 2, -7), "s must be >= 1, got -7"),
+        (lambda: expected_dimension(2, 1, 0, 2, 0), _SPEC_BELOW_ONE + "(2, 1, 0, 2)"),
+    ],
+)
+def test_closed_form_layer_refuses_parameters_below_one(call, message):
+    # The texts SegreVeroneseSpec and expected_secant_dimension raise, with
+    # the parameters checked before s.
+    with pytest.raises(ValueError) as excinfo:
+        call()
+    assert str(excinfo.value) == message
+
+
+def test_sweep_size_limit(monkeypatch):
+    check_sweep_size("a sweep", [MAX_SWEEP_CELLS - 1, 1])
+    with pytest.raises(ValueError, match=r"^a sweep has more than MAX_SWEEP_CELLS = 20000 cells$"):
+        check_sweep_size("a sweep", [MAX_SWEEP_CELLS, 1])
+    # The count stops at the first partial sum past the limit.
+    with pytest.raises(ValueError):
+        check_sweep_size("an endless sweep", itertools.repeat(1))
+    with pytest.raises(ValueError, match=r"^the replay grid up to \(3, 4, 20001\) has more than"):
+        replay_main_theorem(3, 4, MAX_SWEEP_CELLS + 1)
+    # The pinned certificate inputs stay far inside the limit, and each
+    # sweep counts exactly the cells it runs: (n_max - 2)(a_max - 3) b_max
+    # for the replay, sum (C(n+a, n) - 2) for the corollary.
+    assert len(replay_main_theorem(8, 10, 8).cells) == 6 * 7 * 8 == 336
+    cells = sum(comb(n + a, n) - 2 for n in range(1, 6) for a in range(1, 7))
+    assert len(check_corollary(5, 6).cells) == cells == 1643
+    monkeypatch.setattr(numerology, "MAX_SWEEP_CELLS", 336)
+    replay_main_theorem(8, 10, 8)
+    monkeypatch.setattr(numerology, "MAX_SWEEP_CELLS", 335)
+    with pytest.raises(ValueError, match="replay grid"):
+        replay_main_theorem(8, 10, 8)
+    monkeypatch.setattr(numerology, "MAX_SWEEP_CELLS", 1643)
+    check_corollary(5, 6)
+    monkeypatch.setattr(numerology, "MAX_SWEEP_CELLS", 1642)
+    with pytest.raises(ValueError, match="corollary sweep"):
+        check_corollary(5, 6)
 
 
 def test_classify_validation():
