@@ -21,14 +21,10 @@ seed, primes and flags produce byte-identical output regardless of --jobs.
 
 from __future__ import annotations
 
-import argparse
-import csv
 import json
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -66,14 +62,6 @@ CSV_COLUMNS = (
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_DISCREPANCY = 2
-
-
-class _Parser(argparse.ArgumentParser):
-    """argparse with the usage-error exit code pinned to 1."""
-
-    def error(self, message):
-        self.print_usage(sys.stderr)
-        self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
 @dataclass
@@ -139,6 +127,8 @@ def _emit_json(payload: dict) -> None:
 
 
 def _emit_csv(rows, columns) -> None:
+    import csv
+
     writer = csv.writer(sys.stdout, lineterminator="\n")
     writer.writerow(columns)
     for row in rows:
@@ -310,7 +300,11 @@ def run_verify(config: SweepConfig) -> tuple[dict, list[dict], int]:
         # Largest cells first, so none is left to run alone at the end;
         # results go back into grid order.  The pool forks inside the
         # one-thread scope, so its workers start on one BLAS thread and
-        # their initializer makes no set call.
+        # their initializer makes no set call.  concurrent.futures is
+        # imported only here: it also loads multiprocessing, logging, socket
+        # and subprocess, which a serial run never uses.
+        from concurrent.futures import ProcessPoolExecutor
+
         order = sorted(range(len(jobs)), key=lambda i: _cell_cost(jobs[i]), reverse=True)
         results = [None] * len(jobs)
         with one_blas_thread(), ProcessPoolExecutor(max_workers=workers, initializer=_pin_blas_threads) as pool:
@@ -398,7 +392,7 @@ def cmd_verify(args) -> int:
 # ---------------------------------------------------------------------------
 # replay
 
-def _fraction_str(value: Fraction | None) -> str:
+def _fraction_str(value) -> str:
     return "" if value is None else str(value)
 
 
@@ -513,7 +507,18 @@ def _add_engine_options(parser) -> None:
                         help="largest allowed matrix entry count")
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser():
+    # argparse is imported here, not at module level, so that importing the
+    # CLI, as pool workers and the benchmark do, loads no parser machinery.
+    import argparse
+
+    class _Parser(argparse.ArgumentParser):
+        """argparse with the usage-error exit code pinned to 1."""
+
+        def error(self, message):
+            self.print_usage(sys.stderr)
+            self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
+
     parser = _Parser(prog="segre-secant",
                      description="Secant dimensions of Segre-Veronese embeddings "
                                  "by exact rank computation over prime fields.")

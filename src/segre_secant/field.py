@@ -33,8 +33,8 @@ from __future__ import annotations
 
 import contextlib
 import ctypes
+import fnmatch
 import functools
-import glob
 import os
 from dataclasses import dataclass
 
@@ -136,7 +136,13 @@ def _openblas_thread_calls():
     lookup is done once per process; a forked child shares the library.
     """
     libdir = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs")
-    for path in sorted(glob.glob(os.path.join(libdir, "*openblas*"))) + ["libopenblas.so.0"]:
+    try:
+        names = fnmatch.filter(os.listdir(libdir), "*openblas*")
+    except OSError:  # no wheel library directory
+        names = []
+    # Hidden names are left out, as glob("*openblas*") would leave them.
+    paths = [os.path.join(libdir, name) for name in sorted(names) if not name.startswith(".")]
+    for path in paths + ["libopenblas.so.0"]:
         try:
             lib = ctypes.CDLL(path, mode=getattr(os, "RTLD_NOLOAD", 0))
         except OSError:

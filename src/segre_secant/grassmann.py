@@ -27,7 +27,7 @@ import numpy as np
 
 from .field import ConditionMatrix, PrimeField
 from .monomials import exponent_vectors, gradient_rows
-from .numerology import check_sweep_size, classify
+from .numerology import _defective_run, check_sweep_size, classify
 from .terracini import (
     DEFAULT_MEMORY_BUDGET,
     SegreVeroneseSpec,
@@ -247,18 +247,12 @@ def check_corollary(n_max: int, a_max: int) -> CorollaryReport:
     cells = []
     for n in range(1, n_max + 1):
         for a in range(1, a_max + 1):
+            # grassmann_defect's k = 1 answer, from integers: the defect is
+            # classify's inside the defective run of (n, a, 1), and 0 outside.
             N = comb(n + a, n) - 1
+            first, end, _ = _defective_run(n, a, 1) or (0, 0, 0)
             for s in range(2, N + 1):
-                query = GrassmannQuery(n=n, a=a, k=1, s=s)
-                verdict = grassmann_defect(query)
-                cells.append(
-                    CorollaryCell(
-                        n=n,
-                        a=a,
-                        s=s,
-                        defect=verdict.defect,
-                        dim=verdict.dim,
-                        expected_dim=verdict.expected_dim,
-                    )
-                )
+                expected = min(s * n + 2 * (s - 2), 2 * (N - 1))
+                defect = classify(n, a, 1, s).defect if first <= s < end else 0
+                cells.append(CorollaryCell(n, a, s, defect, expected - defect, expected))
     return CorollaryReport(n_max=n_max, a_max=a_max, cells=tuple(cells))

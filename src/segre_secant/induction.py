@@ -79,15 +79,25 @@ class LemmaConditionReport:
     witnesses: dict[str, tuple[int, int]] = field(compare=False)
 
 
+def _lemma_integers(n: int, a: int, b: int) -> tuple:
+    """The integers behind conditions (1)-(4*) at (n, a, b), exactly.
+
+    In order: q(n, a, b), q*(n, a, b), q(n-1, a, b), r(n-1, a, b),
+    e(n-1, a, b), e(n, a-1, b), and e*(n, a-2, b), which is None when a = 2.
+    """
+    here, prev = invariants(n, 1, a, b), invariants(n - 1, 1, a, b)
+    estar_lower = closed_form_estar(n, a - 2, b) if a >= 3 else None
+    return (
+        here.q, here.qstar, prev.q, prev.r,
+        closed_form_e(n - 1, a, b), closed_form_e(n, a - 1, b), estar_lower,
+    )
+
+
 def check_lemma_conditions(n: int, a: int, b: int) -> LemmaConditionReport:
     """Evaluate all seven hypothesis inequalities at one cell, exactly."""
     if n < 2 or a < 2 or b < 1:
         raise ValueError(f"need n >= 2, a >= 2, b >= 1, got ({n}, {a}, {b})")
-    q_here, r_prev = _q(n, a, b), _r(n - 1, a, b)
-    q_prev = _q(n - 1, a, b)
-    qstar_here = _qstar(n, a, b)
-    e_prev = closed_form_e(n - 1, a, b)
-    e_lower = closed_form_e(n, a - 1, b)
+    q_here, qstar_here, q_prev, r_prev, e_prev, e_lower, estar_lower = _lemma_integers(n, a, b)
     witnesses: dict[str, tuple[int, int]] = {
         "cond1": (q_prev, e_prev),
         "cond2": (q_here, q_prev + r_prev),
@@ -96,8 +106,7 @@ def check_lemma_conditions(n: int, a: int, b: int) -> LemmaConditionReport:
         "cond3star": (e_lower, qstar_here - q_prev),
     }
     cond4 = cond4star = None
-    if a >= 3:
-        estar_lower = closed_form_estar(n, a - 2, b)
+    if estar_lower is not None:
         witnesses["cond4"] = (estar_lower, q_here - q_prev - r_prev)
         witnesses["cond4star"] = (estar_lower, qstar_here - q_prev - r_prev)
         cond4 = estar_lower <= q_here - q_prev - r_prev
@@ -144,8 +153,9 @@ def f_value(b: int, n: int, a: int) -> Fraction:
     """
     if n < 2 or a < 2:
         raise ValueError(f"need n >= 2, a >= 2, got ({n}, {a})")
-    lead = Fraction((b + 1) * comb(n - 2 + a, n - 1)) * (n - Fraction(n - 1, a))
-    return lead - (n + 1) * (n + 2) - _r(n - 1, a, b) * n * (n + 2)
+    # One fraction over a: (b+1) C(n-2+a, n-1) (na - n + 1) - a [(n+1)(n+2) + r n (n+2)].
+    lead = (b + 1) * comb(n - 2 + a, n - 1) * (n * a - n + 1)
+    return Fraction(lead - a * ((n + 1) * (n + 2) + _r(n - 1, a, b) * n * (n + 2)), a)
 
 
 def g_value(n: int, d: int) -> Fraction:
@@ -160,12 +170,9 @@ def g_value(n: int, d: int) -> Fraction:
         raise ValueError(f"need n >= 3, d >= 1, got ({n}, {d})")
     b = 2 * d
     filling = (d + 1) * (n + 1)
-    return (
-        filling
-        + _q(n - 1, 4, b)
-        + _r(n - 1, 4, b)
-        - Fraction(comb(n + 4, 4) * (b + 1), n + 2)
-    )
+    # One fraction over n + 2.
+    integral = filling + _q(n - 1, 4, b) + _r(n - 1, 4, b)
+    return Fraction(integral * (n + 2) - comb(n + 4, 4) * (b + 1), n + 2)
 
 
 def case_a_f_bound(n: int) -> Fraction:
@@ -240,13 +247,13 @@ class ReplayReport:
 
 
 def _replay_cell(n: int, a: int, b: int) -> ReplayCell:
-    report = check_lemma_conditions(n, a, b)
+    q_here, qstar_here, q_prev, r_prev, e_prev, e_lower, estar_lower = _lemma_integers(n, a, b)
     case = route_case(n, a, b)
     dagger = dagger_value(n, a, b)
     ddagger = f = g = None
     if case in ("a", "b", "c"):
         ddagger = ddagger_value(n, a, b)
-        estar_matches = closed_form_estar(n, a - 2, b) == _qstar(n, a - 2, b)
+        estar_matches = estar_lower == _qstar(n, a - 2, b)
         if case == "c":
             certificate_ok = estar_matches and ddagger < 0
         else:
@@ -255,24 +262,26 @@ def _replay_cell(n: int, a: int, b: int) -> ReplayCell:
     else:
         d = b // 2
         g = g_value(n, d)
-        estar_matches = closed_form_estar(n, 2, b) == (d + 1) * (n + 1)
+        estar_matches = estar_lower == (d + 1) * (n + 1)
         certificate_ok = estar_matches and g < 0
-    passed = bool(report.cond1 and report.cond3star and report.cond4 and certificate_ok)
+    cond1 = q_prev == e_prev
+    cond3star = e_lower >= qstar_here - q_prev
+    cond4 = estar_lower <= q_here - q_prev - r_prev
     return ReplayCell(
         n=n,
         a=a,
         b=b,
         case=case,
-        cond1=report.cond1,
-        cond3star=report.cond3star,
-        cond4=bool(report.cond4),
+        cond1=cond1,
+        cond3star=cond3star,
+        cond4=cond4,
         dagger=dagger,
         ddagger=ddagger,
         f=f,
         g=g,
         estar_matches=estar_matches,
         certificate_ok=certificate_ok,
-        passed=passed,
+        passed=cond1 and cond3star and cond4 and certificate_ok,
     )
 
 

@@ -332,7 +332,7 @@ class _SerialPool:
 
 
 def test_verify_jobs_clamped_to_cells_and_cores(capsys, monkeypatch):
-    monkeypatch.setattr("segre_secant.cli.ProcessPoolExecutor", _SerialPool)
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", _SerialPool)
     monkeypatch.setattr(_SerialPool, "sizes", [])
     grid = ["verify", "--n-min", "1", "--n-max", "2", "--a-min", "1", "--a-max", "2",
             "--b-min", "1", "--b-max", "1"]  # 4 cells
@@ -358,7 +358,7 @@ def _sweep(n_range, a_range, b_range, jobs):
 
 
 def test_verify_pool_runs_largest_cells_first_in_grid_order_output(monkeypatch):
-    monkeypatch.setattr("segre_secant.cli.ProcessPoolExecutor", _SerialPool)
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", _SerialPool)
     monkeypatch.setattr(_SerialPool, "items", [])
     monkeypatch.setattr("segre_secant.cli._available_cores", lambda: 2)
     config = _sweep((1, 2, 3), (1, 3), (1, 2), 2)
@@ -378,7 +378,7 @@ def test_verify_pool_starts_on_one_blas_thread(monkeypatch):
     if calls is None:
         pytest.skip("no OpenBLAS thread control in this numpy")
     set_threads, get_threads = calls
-    monkeypatch.setattr("segre_secant.cli.ProcessPoolExecutor", _SerialPool)
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", _SerialPool)
     monkeypatch.setattr(_SerialPool, "blas_threads", [])
     monkeypatch.setattr("segre_secant.cli._available_cores", lambda: 2)
     before = get_threads()
@@ -579,3 +579,13 @@ def test_oversized_sweeps_are_refused_before_any_cell(argv, sweep):
     proc = run_fresh(argv, timeout=2)
     assert (proc.returncode, proc.stdout) == (EXIT_USAGE, "")
     assert proc.stderr == f"segre-secant: error: {sweep} has more than MAX_SWEEP_CELLS = 20000 cells\n"
+
+
+def test_importing_the_cli_loads_no_pool_parser_or_csv_modules():
+    # These load where they are used (a pool, a parser, CSV output), so
+    # every process that only imports the CLI skips their start-up cost.
+    lazy = ("concurrent.futures", "multiprocessing", "argparse", "csv", "glob")
+    code = f"import sys, segre_secant.cli; print([m for m in {lazy!r} if m in sys.modules])"
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(segre_secant.__file__)))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=30)
+    assert (proc.returncode, proc.stdout) == (0, "[]\n"), proc.stderr

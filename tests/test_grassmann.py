@@ -112,6 +112,20 @@ def test_corollary_unique_defective_cell():
     assert (cell.dim, cell.expected_dim) == (15, 16)
 
 
+@pytest.mark.parametrize("bounds", [(3, 5), (5, 6)])
+def test_corollary_cells_match_single_queries(bounds):
+    # The sweep computes its cells from integers; each must be what the
+    # single-query API answers for the same (n, a, 1, s).
+    cells = check_corollary(*bounds).cells
+    for cell in cells:
+        verdict = grassmann_defect(GrassmannQuery(cell.n, cell.a, 1, cell.s))
+        assert (cell.defect, cell.dim, cell.expected_dim) == (
+            verdict.defect, verdict.dim, verdict.expected_dim
+        ), (cell.n, cell.a, cell.s)
+    n_max, a_max = bounds
+    assert len(cells) == sum(comb(n + a, n) - 2 for n in range(1, n_max + 1) for a in range(1, a_max + 1))
+
+
 def test_corollary_curves_never_defective():
     report = check_corollary(3, 5)
     assert all(cell.defect == 0 for cell in report.cells if cell.n == 1)

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import comb
 
 import pytest
 
@@ -142,6 +143,34 @@ def test_replay_default_grid_all_pass():
     assert len(report.cells) == 4 * 5 * 6
     counts = report.case_counts()
     assert all(counts[case] > 0 for case in "abcde")
+
+
+def test_replay_conditions_match_lemma_report():
+    # The replay reads the lemma's integers directly; its three conditions
+    # must be the report's on every cell.
+    for cell in replay_main_theorem(8, 10, 8).cells:
+        report = check_lemma_conditions(cell.n, cell.a, cell.b)
+        assert (cell.cond1, cell.cond3star, cell.cond4) == (
+            report.cond1, report.cond3star, report.cond4
+        ), (cell.n, cell.a, cell.b)
+
+
+def test_f_and_g_match_fraction_expressions():
+    # f and g are built as one fraction each; these are the formulas of
+    # their docstrings, evaluated term by term.
+    for n in range(2, 13):
+        for a in range(2, 13):
+            for b in range(1, 13):
+                r = invariants(n - 1, 1, a, b).r
+                f = (Fraction((b + 1) * comb(n - 2 + a, n - 1)) * (n - Fraction(n - 1, a))
+                     - (n + 1) * (n + 2) - r * n * (n + 2))
+                assert f_value(b, n, a) == f, (b, n, a)
+    for n in range(3, 13):
+        for d in range(1, 7):
+            num = invariants(n - 1, 1, 4, 2 * d)
+            g = ((d + 1) * (n + 1) + num.q + num.r
+                 - Fraction(comb(n + 4, 4) * (2 * d + 1), n + 2))
+            assert g_value(n, d) == g, (n, d)
 
 
 def test_replay_routed_witness_cells():
