@@ -22,6 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import comb
 from types import SimpleNamespace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -196,8 +197,13 @@ def grassmann_defect(
     )
 
 
-@dataclass(frozen=True)
-class CorollaryCell:
+class CorollaryCell(NamedTuple):
+    """One k = 1 cell of the corollary sweep.
+
+    An immutable record, built for every cell of a sweep: a named tuple
+    costs about half what a frozen dataclass does to build.
+    """
+
     n: int
     a: int
     s: int
@@ -220,12 +226,13 @@ class CorollaryReport:
 
     @property
     def passed(self) -> bool:
-        """True when the unique defective cell is (n, a, s) = (2, 3, 5) with defect 1."""
-        bad = self.defective
-        return (
-            len(bad) == 1
-            and (bad[0].n, bad[0].a, bad[0].s, bad[0].defect) == (2, 3, 5, 1)
-        )
+        """True when the defective cells are exactly those the corollary predicts.
+
+        That is (n, a, s) = (2, 3, 5) with defect 1 when the grid holds
+        (n, a) = (2, 3), that is when a_max >= 3, and none otherwise.
+        """
+        expected = ((2, 3, 5, 1),) if self.a_max >= 3 else ()
+        return tuple((cell.n, cell.a, cell.s, cell.defect) for cell in self.defective) == expected
 
 
 def check_corollary(n_max: int, a_max: int) -> CorollaryReport:

@@ -36,22 +36,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb
+from typing import NamedTuple
 
-from .numerology import _base_rule, check_sweep_size, closed_form_e, closed_form_estar, invariants
+from .numerology import _base_rule, _e_from, _estar_from, check_sweep_size, invariants
 
 CASES = ("a", "b", "c", "d", "e")
-
-
-def _q(n: int, a: int, b: int) -> int:
-    return invariants(n, 1, a, b).q
-
-
-def _r(n: int, a: int, b: int) -> int:
-    return invariants(n, 1, a, b).r
-
-
-def _qstar(n: int, a: int, b: int) -> int:
-    return invariants(n, 1, a, b).qstar
 
 
 @dataclass(frozen=True)
@@ -80,16 +69,27 @@ class LemmaConditionReport:
 
 
 def _lemma_integers(n: int, a: int, b: int) -> tuple:
-    """The integers behind conditions (1)-(4*) at (n, a, b), exactly.
+    """The integers behind conditions (1)-(4*) and the dagger values at (n, a, b).
 
     In order: q(n, a, b), q*(n, a, b), q(n-1, a, b), r(n-1, a, b),
-    e(n-1, a, b), e(n, a-1, b), and e*(n, a-2, b), which is None when a = 2.
+    e(n-1, a, b), e(n, a-1, b), e*(n, a-2, b), q*(n, a-2, b), dagger and
+    ddagger; the last four are None when a = 2.  Each of the triples
+    (n, a, b), (n-1, a, b), (n, a-1, b) and (n, a-2, b) is read from
+    invariants once.
     """
-    here, prev = invariants(n, 1, a, b), invariants(n - 1, 1, a, b)
-    estar_lower = closed_form_estar(n, a - 2, b) if a >= 3 else None
+    here = invariants(n, 1, a, b)
+    prev = invariants(n - 1, 1, a, b)
+    lower = invariants(n, 1, a - 1, b)
+    dagger = lower.q - here.qstar + prev.q
+    estar_lower = qstar_lower = ddagger = None
+    if a >= 3:
+        qstar_lower = invariants(n, 1, a - 2, b).qstar
+        estar_lower = _estar_from(n, a - 2, b, qstar_lower)
+        ddagger = qstar_lower - here.q + prev.q + prev.r
     return (
         here.q, here.qstar, prev.q, prev.r,
-        closed_form_e(n - 1, a, b), closed_form_e(n, a - 1, b), estar_lower,
+        _e_from(n - 1, a, b, prev.q), _e_from(n, a - 1, b, lower.q), estar_lower,
+        qstar_lower, dagger, ddagger,
     )
 
 
@@ -97,7 +97,7 @@ def check_lemma_conditions(n: int, a: int, b: int) -> LemmaConditionReport:
     """Evaluate all seven hypothesis inequalities at one cell, exactly."""
     if n < 2 or a < 2 or b < 1:
         raise ValueError(f"need n >= 2, a >= 2, b >= 1, got ({n}, {a}, {b})")
-    q_here, qstar_here, q_prev, r_prev, e_prev, e_lower, estar_lower = _lemma_integers(n, a, b)
+    q_here, qstar_here, q_prev, r_prev, e_prev, e_lower, estar_lower = _lemma_integers(n, a, b)[:7]
     witnesses: dict[str, tuple[int, int]] = {
         "cond1": (q_prev, e_prev),
         "cond2": (q_here, q_prev + r_prev),
@@ -131,7 +131,7 @@ def dagger_value(n: int, a: int, b: int) -> int:
     """q(n, a-1, b) - q*(n, a, b) + q(n-1, a, b); (3*) says this is >= 0."""
     if n < 2 or a < 2:
         raise ValueError(f"need n >= 2, a >= 2, got ({n}, {a})")
-    return _q(n, a - 1, b) - _qstar(n, a, b) + _q(n - 1, a, b)
+    return _lemma_integers(n, a, b)[8]
 
 
 def ddagger_value(n: int, a: int, b: int) -> int:
@@ -142,7 +142,7 @@ def ddagger_value(n: int, a: int, b: int) -> int:
     """
     if n < 2 or a < 3:
         raise ValueError(f"need n >= 2, a >= 3, got ({n}, {a})")
-    return _qstar(n, a - 2, b) - _q(n, a, b) + _q(n - 1, a, b) + _r(n - 1, a, b)
+    return _lemma_integers(n, a, b)[9]
 
 
 def f_value(b: int, n: int, a: int) -> Fraction:
@@ -153,9 +153,14 @@ def f_value(b: int, n: int, a: int) -> Fraction:
     """
     if n < 2 or a < 2:
         raise ValueError(f"need n >= 2, a >= 2, got ({n}, {a})")
+    return _f(b, n, a, invariants(n - 1, 1, a, b).r)
+
+
+def _f(b: int, n: int, a: int, r_prev: int) -> Fraction:
+    """f(b, n, a) given r_prev = r(n-1, a, b)."""
     # One fraction over a: (b+1) C(n-2+a, n-1) (na - n + 1) - a [(n+1)(n+2) + r n (n+2)].
     lead = (b + 1) * comb(n - 2 + a, n - 1) * (n * a - n + 1)
-    return Fraction(lead - a * ((n + 1) * (n + 2) + _r(n - 1, a, b) * n * (n + 2)), a)
+    return Fraction(lead - a * ((n + 1) * (n + 2) + r_prev * n * (n + 2)), a)
 
 
 def g_value(n: int, d: int) -> Fraction:
@@ -168,11 +173,16 @@ def g_value(n: int, d: int) -> Fraction:
     """
     if n < 3 or d < 1:
         raise ValueError(f"need n >= 3, d >= 1, got ({n}, {d})")
-    b = 2 * d
+    prev = invariants(n - 1, 1, 4, 2 * d)
+    return _g(n, d, prev.q, prev.r)
+
+
+def _g(n: int, d: int, q_prev: int, r_prev: int) -> Fraction:
+    """g(n, 4, 2d) given q_prev, r_prev = q(n-1, 4, 2d), r(n-1, 4, 2d)."""
     filling = (d + 1) * (n + 1)
     # One fraction over n + 2.
-    integral = filling + _q(n - 1, 4, b) + _r(n - 1, 4, b)
-    return Fraction(integral * (n + 2) - comb(n + 4, 4) * (b + 1), n + 2)
+    integral = filling + q_prev + r_prev
+    return Fraction(integral * (n + 2) - comb(n + 4, 4) * (2 * d + 1), n + 2)
 
 
 def case_a_f_bound(n: int) -> Fraction:
@@ -201,9 +211,12 @@ def route_case(n: int, a: int, b: int) -> str:
     return "d" if n == 3 else "e"
 
 
-@dataclass(frozen=True)
-class ReplayCell:
-    """One inductive cell with its conditions and routed certificate."""
+class ReplayCell(NamedTuple):
+    """One inductive cell with its conditions and routed certificate.
+
+    An immutable record, built for every cell of a replay: a named tuple
+    costs about half what a frozen dataclass does to build.
+    """
 
     n: int
     a: int
@@ -247,41 +260,31 @@ class ReplayReport:
 
 
 def _replay_cell(n: int, a: int, b: int) -> ReplayCell:
-    q_here, qstar_here, q_prev, r_prev, e_prev, e_lower, estar_lower = _lemma_integers(n, a, b)
+    (q_here, qstar_here, q_prev, r_prev, e_prev, e_lower, estar_lower,
+     qstar_lower, dagger, ddagger) = _lemma_integers(n, a, b)
     case = route_case(n, a, b)
-    dagger = dagger_value(n, a, b)
-    ddagger = f = g = None
+    f = g = None
     if case in ("a", "b", "c"):
-        ddagger = ddagger_value(n, a, b)
-        estar_matches = estar_lower == _qstar(n, a - 2, b)
+        estar_matches = estar_lower == qstar_lower
         if case == "c":
             certificate_ok = estar_matches and ddagger < 0
         else:
-            f = f_value(b, n, a)
+            f = _f(b, n, a, r_prev)
             certificate_ok = estar_matches and f >= 0 and ddagger <= 0
     else:
+        # Cases (d) and (e) have a = 4, so g reads the (n-1, a, b) triple.
         d = b // 2
-        g = g_value(n, d)
+        g = _g(n, d, q_prev, r_prev)
+        ddagger = None
         estar_matches = estar_lower == (d + 1) * (n + 1)
         certificate_ok = estar_matches and g < 0
     cond1 = q_prev == e_prev
     cond3star = e_lower >= qstar_here - q_prev
     cond4 = estar_lower <= q_here - q_prev - r_prev
+    # Positional, in field order: keywords cost more than the tuple itself.
     return ReplayCell(
-        n=n,
-        a=a,
-        b=b,
-        case=case,
-        cond1=cond1,
-        cond3star=cond3star,
-        cond4=cond4,
-        dagger=dagger,
-        ddagger=ddagger,
-        f=f,
-        g=g,
-        estar_matches=estar_matches,
-        certificate_ok=certificate_ok,
-        passed=cond1 and cond3star and cond4 and certificate_ok,
+        n, a, b, case, cond1, cond3star, cond4, dagger, ddagger, f, g,
+        estar_matches, certificate_ok, cond1 and cond3star and cond4 and certificate_ok,
     )
 
 

@@ -542,6 +542,16 @@ def test_grassmann_cli(capsys):
     assert err == "segre-secant: error: bounds must be >= 2, got (1, 5)\n"
 
 
+def test_grassmann_cli_without_cubics_passes(capsys):
+    # a_max = 2 leaves out (2, 3, 5): an empty defective list is the expected one.
+    code, out, err = run(capsys, ["grassmann", "--n-max", "6", "--a-max", "2"])
+    assert code == EXIT_OK
+    payload = json.loads(out)
+    assert payload["summary"]["passed"] is True
+    assert payload["defective"] == []
+    assert err.endswith("grassmann cells / defective: 86 / 0\n")
+
+
 def test_numerology_cli(capsys):
     code, out, _ = run(capsys, ["numerology", "--n", "3", "--m", "1", "--a", "4", "--b", "1"])
     assert code == EXIT_OK

@@ -126,6 +126,15 @@ def test_corollary_cells_match_single_queries(bounds):
     assert len(cells) == sum(comb(n + a, n) - 2 for n in range(1, n_max + 1) for a in range(1, a_max + 1))
 
 
+def test_corollary_without_cubics_expects_no_defect():
+    # Below a = 3 the grid has no (n, a) = (2, 3): no defect is expected and
+    # none is found.
+    for n_max in (2, 5, 6):
+        report = check_corollary(n_max, 2)
+        assert report.defective == () and report.passed
+    assert check_corollary(2, 3).passed
+
+
 def test_corollary_curves_never_defective():
     report = check_corollary(3, 5)
     assert all(cell.defect == 0 for cell in report.cells if cell.n == 1)

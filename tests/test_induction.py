@@ -6,6 +6,8 @@ import pytest
 from segre_secant import (
     check_lemma_conditions,
     classify,
+    closed_form_e,
+    closed_form_estar,
     dagger_value,
     ddagger_value,
     f_value,
@@ -111,6 +113,23 @@ def test_witnesses_match_booleans():
     assert report.cond1 == (lhs == rhs)
 
 
+def test_witnesses_match_closed_form_thresholds():
+    # The lemma reads e and e* from the invariants it already holds; they
+    # must be closed_form_e's and closed_form_estar's.
+    for n in range(2, 7):
+        for a in range(2, 9):
+            for b in range(1, 7):
+                w = check_lemma_conditions(n, a, b).witnesses
+                here, prev = invariants(n, 1, a, b), invariants(n - 1, 1, a, b)
+                assert w["cond1"] == (prev.q, closed_form_e(n - 1, a, b)), (n, a, b)
+                assert w["cond3"] == (closed_form_e(n, a - 1, b), here.q - prev.q), (n, a, b)
+                assert w["cond3star"] == (closed_form_e(n, a - 1, b), here.qstar - prev.q), (n, a, b)
+                if a >= 3:
+                    assert w["cond4"] == (
+                        closed_form_estar(n, a - 2, b), here.q - prev.q - prev.r
+                    ), (n, a, b)
+
+
 def test_implication_chain_on_grid():
     for n in range(2, 7):
         for a in range(3, 9):
@@ -153,6 +172,22 @@ def test_replay_conditions_match_lemma_report():
         assert (cell.cond1, cell.cond3star, cell.cond4) == (
             report.cond1, report.cond3star, report.cond4
         ), (cell.n, cell.a, cell.b)
+
+
+def test_replay_cells_match_single_cell_values():
+    # Each cell reads its integers once; dagger, ddagger, f and g must be the
+    # single-cell functions' values (and the docstring formulas' for dagger
+    # and ddagger), None where the cell's case does not route there.
+    for cell in replay_main_theorem(8, 10, 8).cells:
+        n, a, b = cell.n, cell.a, cell.b
+        here, prev = invariants(n, 1, a, b), invariants(n - 1, 1, a, b)
+        dagger = invariants(n, 1, a - 1, b).q - here.qstar + prev.q
+        ddagger = invariants(n, 1, a - 2, b).qstar - here.q + prev.q + prev.r
+        assert dagger_value(n, a, b) == dagger and ddagger_value(n, a, b) == ddagger
+        assert cell.dagger == dagger, (n, a, b)
+        assert cell.ddagger == (ddagger if cell.case in "abc" else None), (n, a, b)
+        assert cell.f == (f_value(b, n, a) if cell.case in "ab" else None), (n, a, b)
+        assert cell.g == (g_value(n, b // 2) if cell.case in "de" else None), (n, a, b)
 
 
 def test_f_and_g_match_fraction_expressions():

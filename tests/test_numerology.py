@@ -281,6 +281,25 @@ def test_sweep_size_limit(monkeypatch):
         check_corollary(5, 6)
 
 
+def test_sweep_records_are_immutable_in_field_order():
+    records = [
+        (invariants(2, 1, 4, 2), ("q", "r", "qstar")),
+        (check_corollary(3, 5).cells[0], ("n", "a", "s", "defect", "dim", "expected_dim")),
+        (replay_main_theorem(4, 5, 2).cells[0], (
+            "n", "a", "b", "case", "cond1", "cond3star", "cond4", "dagger", "ddagger",
+            "f", "g", "estar_matches", "certificate_ok", "passed",
+        )),
+    ]
+    for record, names in records:
+        assert record._fields == names
+        assert tuple(getattr(record, name) for name in names) == tuple(record)
+        for name in names:
+            with pytest.raises(AttributeError):
+                setattr(record, name, 0)
+        with pytest.raises(AttributeError):
+            record.extra = 0
+
+
 def test_classify_validation():
     with pytest.raises(ValueError):
         classify(0, 1, 1, 1)
