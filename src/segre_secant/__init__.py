@@ -30,8 +30,6 @@ from .grassmann import (
     check_corollary,
     grassmann_defect,
     grassmann_expected_dim,
-    veronese_secant_dimension,
-    veronese_tangent_matrix,
 )
 from .induction import (
     LemmaConditionReport,

@@ -90,6 +90,8 @@ class SweepConfig:
             raise ValueError(f"--jobs must be >= 1, got {self.jobs}")
         if not self.primes:
             raise ValueError("need at least one prime")
+        if self.s_policy not in ("uptoqstar", "list"):
+            raise ValueError(f"s_policy must be 'uptoqstar' or 'list', got {self.s_policy!r}")
         if self.s_policy == "list" and not self.s_list:
             raise ValueError("explicit s policy needs a nonempty --s-list")
         if self.s_policy != "list" and self.s_list:

@@ -5,46 +5,21 @@ independent points of X; for X = the degree-a Veronese image of P^n its
 expected dimension is min(sn + (k+1)(s-1-k), (k+1)(N-k)) with
 N = C(n+a, n) - 1.  The defect of that Grassmann secant variety equals the
 ordinary (s-1)-defect of the Segre product P^k x X, which for a Veronese X
-is exactly the bidegree-(a, 1) embedding of P^n x P^k.  So:
+is exactly the bidegree-(a, 1) embedding of P^n x P^k.
 
-  * k = 1 queries are answered in closed form by the m = 1 classification
-    (the unique defective case is n = 2, a = 3, s = 5, defect 1: pairs of
-    plane cubics expressible through the same 5 cube powers);
-  * k >= 2 queries fall back to Monte-Carlo tangent ranks of the
-    (n, k, a, 1) embedding and are tagged "unclassified";
-  * k = 0 queries are ordinary secants of the Veronese itself and are
-    measured by a dedicated Veronese tangent matrix (a degenerate second
-    factor is not a valid Segre product), also tagged "unclassified".
+For k = 1 that embedding is P^n x P^1, so the m = 1 classification answers
+every query in closed form: the unique defective case is n = 2, a = 3,
+s = 5, defect 1 (pairs of plane cubics expressible through the same 5 cube
+powers).  Other k lie outside that classification and are refused.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from math import comb
-from types import SimpleNamespace
 from typing import NamedTuple
 
-import numpy as np
-
-from .field import ConditionMatrix, PrimeField
-from .monomials import exponent_vectors, gradient_rows
 from .numerology import _defective_run, check_sweep_size, classify
-from .terracini import (
-    DEFAULT_MEMORY_BUDGET,
-    SegreVeroneseSpec,
-    check_memory_budget,
-    check_prime_bound,
-    panel_rows,
-    rank_profile,
-    secant_dimension,
-    trial_rng,
-)
-
-TAG_CLOSED_FORM = "closed-form"
-TAG_UNCLASSIFIED = "unclassified"
-
-#: method_id of the plain Veronese stream in trial_rng's spawn key.
-_METHOD_VERONESE = 2
 
 
 @dataclass(frozen=True)
@@ -82,118 +57,32 @@ def grassmann_expected_dim(query: GrassmannQuery) -> int:
 
 @dataclass(frozen=True)
 class GrassmannVerdict:
-    """Defect and dimension of one Grassmann secant query."""
+    """Closed-form defect and dimension of one k = 1 Grassmann secant query."""
 
     query: GrassmannQuery
     expected_dim: int
     defect: int
     dim: int
-    tag: str
-    rule: str | None = None
-    prime: int | None = None
-    seed: int | None = None
-    trials: int | None = None
+    rule: str
 
 
-def veronese_tangent_matrix(n: int, a: int, points, field: PrimeField) -> ConditionMatrix:
-    """Stacked gradient rows of the degree-a monomial map on P^n.
+def grassmann_defect(query: GrassmannQuery) -> GrassmannVerdict:
+    """Defect and dimension of Sec_(1, s-1) via the Segre-product correspondence.
 
-    Columns run over the C(n+a, n) degree-a exponents in descending lex
-    order; each point contributes n + 1 partial rows, of rank n + 1 at a
-    generic point (the Euler relation only ties them to the value row).
+    The defect is classify's (s-1)-defect of the bidegree-(a, 1) embedding
+    of P^n x P^1, and dim is the expected Grassmann dimension minus it.
+    Raises ValueError for k != 1, which the classification does not cover.
     """
-    exps = exponent_vectors(a, n + 1)
-    points = [np.asarray(x, dtype=np.int64) for x in points]
-    for x in points:
-        if x.shape != (n + 1,):
-            raise ValueError(f"point must have {n + 1} coordinates, got {x.shape}")
-    points = np.array(points, dtype=np.int64).reshape(len(points), n + 1)
-    return ConditionMatrix(gradient_rows(exps, points, field.p)[1].reshape(-1, exps.shape[0]), field)
-
-
-def veronese_secant_dimension(
-    n: int,
-    a: int,
-    s: int,
-    trials: int = 3,
-    field: PrimeField | None = None,
-    seed: int = 0,
-    memory_budget: int = DEFAULT_MEMORY_BUDGET,
-) -> int:
-    """Monte-Carlo dim of the s-th secant of the degree-a Veronese of P^n."""
-    if field is None:
-        field = PrimeField()
-    # The Veronese is the m = b = 0 case, both in the spawn key and in the
-    # small-prime bound min(C(n+a, n), s(n+1)) * (a-1) < p.
-    key_spec = SimpleNamespace(n=n, m=0, a=a, b=0, N=comb(n + a, n) - 1, dim=n)
-    check_prime_bound(key_spec, s, field.p)
-    check_memory_budget(
-        f"Veronese rank profile for n={n}, a={a} with s={s}", key_spec.N + 1,
-        panel_rows(n + 1, s), s, memory_budget,
-    )
-    exps = exponent_vectors(a, n + 1)
-
-    def panel_at(rng: np.random.Generator, k: int) -> np.ndarray:
-        # One draw for the panel, the values of k sample_point calls.
-        coords = rng.integers(0, field.p, size=(k, n), dtype=np.int64)
-        points = np.hstack([np.ones((k, 1), dtype=np.int64), coords])
-        return gradient_rows(exps, points, field.p)[1].reshape(k * (n + 1), -1)
-
-    ranks = rank_profile(
-        exps.shape[0], n + 1, field, s, trials,
-        lambda trial: trial_rng(key_spec, seed, trial, field.p, _METHOD_VERONESE),
-        panel_at,
-    )
-    return int(ranks[-1]) - 1
-
-
-def grassmann_defect(
-    query: GrassmannQuery,
-    trials: int = 3,
-    field: PrimeField | None = None,
-    seed: int = 0,
-    memory_budget: int = DEFAULT_MEMORY_BUDGET,
-) -> GrassmannVerdict:
-    """Defect and dimension of Sec_(k, s-1) via the Segre-product correspondence.
-
-    The defect is the (s-1)-defect of the bidegree-(a, 1) embedding of
-    P^n x P^k: closed form for k = 1, Monte-Carlo otherwise; the returned
-    dim is the expected Grassmann dimension minus that defect.
-    """
+    if query.k != 1:
+        raise ValueError(f"only k = 1 is classified, got k={query.k}")
     expected = grassmann_expected_dim(query)
-    if query.k == 1:
-        verdict = classify(query.n, query.a, 1, query.s)
-        return GrassmannVerdict(
-            query=query,
-            expected_dim=expected,
-            defect=verdict.defect,
-            dim=expected - verdict.defect,
-            tag=TAG_CLOSED_FORM,
-            rule=verdict.rule,
-        )
-    if field is None:
-        field = PrimeField()
-    if query.k == 0:
-        computed = veronese_secant_dimension(
-            query.n, query.a, query.s, trials=trials, field=field, seed=seed,
-            memory_budget=memory_budget,
-        )
-        defect = min(query.N, query.s * (query.n + 1) - 1) - computed
-    else:
-        spec = SegreVeroneseSpec(query.n, query.k, query.a, 1)
-        report = secant_dimension(
-            spec, query.s, trials=trials, field=field, seed=seed, memory_budget=memory_budget
-        )
-        defect = report.defect
+    verdict = classify(query.n, query.a, 1, query.s)
     return GrassmannVerdict(
         query=query,
         expected_dim=expected,
-        defect=defect,
-        dim=expected - defect,
-        tag=TAG_UNCLASSIFIED,
-        prime=field.p,
-        seed=seed,
-        trials=trials,
+        defect=verdict.defect,
+        dim=expected - verdict.defect,
+        rule=verdict.rule,
     )
 
 

@@ -20,7 +20,7 @@ way, bigraded columns alpha-major.
 
 ``gradient_rows`` is the one evaluator of monomials and their first
 partial derivatives, at one point or at a panel of points in one call; the
-tangent, affine and Veronese condition matrices are all assembled from it.
+tangent and affine condition matrices are both assembled from it.
 """
 
 from __future__ import annotations

@@ -24,7 +24,7 @@ trials and why any disagreement with the closed-form classification is a
 reportable event, never silently resolved.
 
 ``rank_profile`` is the one Monte-Carlo loop of the package, shared by the
-tangent, affine and Veronese paths.  It draws the points of a trial in
+tangent and affine-reduction paths.  It draws the points of a trial in
 panels of consecutive points, evaluates each panel's rows in one call and
 absorbs them in one ``RankAccumulator.absorb``; the rows of the panel that
 became pivots give the rank after each of its points.  The loop runs with
@@ -52,7 +52,9 @@ from .monomials import exponent_vectors, gradient_rows
 #: Largest number of matrix entries a single dimension query may allocate.
 DEFAULT_MEMORY_BUDGET = 2**25
 
-#: Recorded in every report so runs are reproducible across machines.
+#: Recorded in every report so runs are reproducible across machines.  The
+#: method_id 2 clause names a retired stream; it changes only with the
+#: segre-secant/2 schema bump, since dim and verify print this text.
 RNG_DESCRIPTION = (
     "numpy PCG64; stream per trial from SeedSequence(seed, "
     "spawn_key=(n, m, a, b, trial, prime, method_id)) with method_id 0 for "
@@ -163,12 +165,10 @@ class SecantReport:
         )
 
 
-def trial_rng(spec, seed: int, trial: int, prime: int, method_id: int = _METHOD_TANGENT) -> np.random.Generator:
-    """The documented per-trial random stream (see RNG_DESCRIPTION).
-
-    ``spec`` is anything with n, m, a, b attributes: a SegreVeroneseSpec, or
-    the m = b = 0 stand-in of the plain Veronese path.
-    """
+def trial_rng(
+    spec: SegreVeroneseSpec, seed: int, trial: int, prime: int, method_id: int = _METHOD_TANGENT
+) -> np.random.Generator:
+    """The documented per-trial random stream (see RNG_DESCRIPTION)."""
     key = (spec.n, spec.m, spec.a, spec.b, trial, prime, method_id)
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=key))
 
@@ -310,9 +310,10 @@ def rank_profile(
     is the fewest points that can fill the basis, so a panel never draws a
     point that a trial absorbing one point at a time would not draw.
 
-    Callers size the run with ``check_memory_budget`` before they build
-    anything.  ``s_name`` names s_max in the error raised when it is
-    below 1.
+    The two callers, ``dimension_profile`` and
+    ``affine.secant_dimension_via_reduction``, size the run with
+    ``check_memory_budget`` before they build anything.  ``s_name`` names
+    s_max in the error raised when it is below 1.
     """
     if s_max < 1:
         raise ValueError(f"{s_name} must be >= 1, got {s_max}")

@@ -92,18 +92,15 @@ def brute_split_monomials(n, m, a, b):
     return found
 
 
-def quadric_veronese_secant_dim(n: int, s: int) -> int:
-    """dim of the s-th secant of the quadratic Veronese of P^n, closed form.
+def segre_secant_dim(n: int, m: int, s: int) -> int:
+    """dim of the s-th secant of the Segre embedding of P^n x P^m, closed form.
 
-    Points of the image are squares of linear forms, i.e. rank-one symmetric
-    (n+1) x (n+1) matrices; sums of s of them fill the rank <= s locus, whose
-    projective dimension is C(n+2, 2) - 1 - C(n+2-s, 2).
+    Points of the image are rank-one (n+1) x (m+1) matrices; sums of s of
+    them fill the determinantal locus of rank <= t = min(s, min(n, m) + 1),
+    whose projective dimension is t(n + m + 2 - t) - 1.
     """
-    if s >= n + 1:
-        return (n + 1) * (n + 2) // 2 - 1
-    total = (n + 1) * (n + 2) // 2
-    corank = n + 1 - s
-    return total - 1 - corank * (corank + 1) // 2
+    t = min(s, min(n, m) + 1)
+    return t * (n + m + 2 - t) - 1
 
 
 def _compositions(total, parts):

@@ -158,6 +158,16 @@ def test_reduction_rejects_too_small_prime():
     assert report.prime == 13
 
 
+def test_reduction_rejects_zero_trials_and_s():
+    # The shared rank-profile checks, under rank_profile's default s name;
+    # without them no trial ran and -1 came back.
+    spec = SegreVeroneseSpec(2, 1, 2, 2)
+    with pytest.raises(ValueError, match="^trials must be >= 1, got 0$"):
+        secant_dimension_via_reduction(spec, 3, trials=0)
+    with pytest.raises(ValueError, match="^s must be >= 1, got 0$"):
+        secant_dimension_via_reduction(spec, 0)
+
+
 def test_sampled_points_avoid_special_subspaces():
     scheme = AffineSchemeSpec(2, 2, 1, 1, 1)
     rng = np.random.default_rng(2)

@@ -306,6 +306,13 @@ def test_verify_refuses_jobs_below_one(capsys, jobs):
         _sweep((1,), (1,), (1,), int(jobs))
 
 
+@pytest.mark.parametrize("policy", ["upto-qstar", "", "LIST"])
+def test_sweep_config_refuses_unknown_s_policy(policy):
+    # Without the check every cell of such a sweep failed on an empty s list.
+    with pytest.raises(ValueError, match=f"^s_policy must be 'uptoqstar' or 'list', got {policy!r}$"):
+        dataclasses.replace(_sweep((1,), (1,), (1,), 1), s_policy=policy)
+
+
 class _SerialPool:
     """Stands in for ProcessPoolExecutor: records its arguments, maps in-process."""
 

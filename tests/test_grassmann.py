@@ -1,30 +1,18 @@
 from math import comb
-from types import SimpleNamespace
 
-import numpy as np
 import pytest
 
 from segre_secant import (
     GrassmannQuery,
-    PrimeField,
     SegreVeroneseSpec,
     check_corollary,
     classify,
     dimension_profile,
     grassmann_defect,
     grassmann_expected_dim,
-    rank,
-    sample_point,
-    veronese_secant_dimension,
-    veronese_tangent_matrix,
 )
 
 from segre_secant import grassmann
-from segre_secant.terracini import trial_rng
-
-from oracles import quadric_veronese_secant_dim
-
-FIELD = PrimeField()
 
 
 def test_query_validation():
@@ -48,44 +36,17 @@ def test_expected_dim_examples():
 def test_closed_form_verdicts_for_lines_of_forms():
     defective = grassmann_defect(GrassmannQuery(2, 3, 1, 5))
     assert (defective.defect, defective.dim, defective.expected_dim) == (1, 15, 16)
-    assert defective.tag == "closed-form"
+    assert defective.rule == "main-theorem"
     assert grassmann_defect(GrassmannQuery(2, 3, 1, 4)).defect == 0
     roomy = grassmann_defect(GrassmannQuery(3, 3, 1, 6))
     assert (roomy.defect, roomy.dim) == (0, 26)
 
 
-def test_veronese_tangent_block_rank():
-    rng = np.random.default_rng(3)
-    for n, a in [(1, 3), (2, 2), (2, 4), (3, 3)]:
-        point = sample_point(n, FIELD, rng)
-        block = veronese_tangent_matrix(n, a, [point], FIELD)
-        assert block.entries.shape == (n + 1, comb(n + a, n))
-        assert rank(block) == n + 1
-
-
-def test_k0_path_matches_quadric_veronese_closed_form():
-    # Independent oracle: secants of the quadratic Veronese are rank <= s
-    # symmetric matrices, whose dimension is classical.
-    for n in range(2, 5):
-        for s in range(1, n + 2):
-            assert veronese_secant_dimension(n, 2, s) == quadric_veronese_secant_dim(n, s)
-
-
-def test_k0_defect_through_query():
-    verdict = grassmann_defect(GrassmannQuery(2, 2, 0, 2))
-    assert verdict.tag == "unclassified"
-    assert verdict.defect == 1  # rank-2 symmetric 3x3 matrices miss P^5 by one
-    assert verdict.dim == 4
-    curve = grassmann_defect(GrassmannQuery(1, 3, 0, 2))
-    assert curve.defect == 0  # rational normal curves are never defective
-
-
-def test_k2_path_is_monte_carlo_unclassified():
-    verdict = grassmann_defect(GrassmannQuery(2, 2, 2, 4))
-    assert verdict.tag == "unclassified"
-    assert verdict.defect >= 0
-    assert verdict.dim == verdict.expected_dim - verdict.defect
-    assert verdict.prime == FIELD.p
+def test_other_k_refused():
+    # k = 0 and k >= 2 lie outside the m = 1 classification.
+    for query in (GrassmannQuery(2, 2, 0, 2), GrassmannQuery(2, 2, 2, 4)):
+        with pytest.raises(ValueError, match=f"^only k = 1 is classified, got k={query.k}$"):
+            grassmann_defect(query)
 
 
 def test_monte_carlo_matches_closed_form_on_check_grid():
@@ -140,13 +101,10 @@ def test_corollary_curves_never_defective():
     assert all(cell.defect == 0 for cell in report.cells if cell.n == 1)
 
 
-def test_closed_form_builds_no_field(monkeypatch):
-    # The k = 1 verdict is closed form: it never reads a prime field.
-    def no_field(*args, **kwargs):
-        raise AssertionError("k = 1 built a PrimeField")
-
-    monkeypatch.setattr("segre_secant.grassmann.PrimeField", no_field)
-    assert check_corollary(3, 5).passed
+def test_closed_form_module_holds_no_engine():
+    # Every verdict is closed form: nothing of the rank engine is in reach.
+    names = vars(grassmann)
+    assert not {"np", "PrimeField", "rank_profile", "secant_dimension"} & names.keys()
 
 
 def test_corollary_bounds_validation():
@@ -154,37 +112,3 @@ def test_corollary_bounds_validation():
         check_corollary(1, 5)
     with pytest.raises(ValueError):
         check_corollary(3, 1)
-
-
-def test_veronese_rejects_too_small_prime():
-    # min(C(4, 2), 2 * 3) * (2 - 1) = 6 >= 2: one trial's Schwartz-Zippel
-    # bound is not below 1 (p = 2 would report 2 instead of 4).
-    with pytest.raises(ValueError, match="too small"):
-        veronese_secant_dimension(2, 2, 2, field=PrimeField(2))
-    assert veronese_secant_dimension(2, 2, 2, field=PrimeField(7)) <= 4
-
-
-def test_veronese_rejects_zero_trials():
-    # The shared rank-profile check; without it no trial ran and -1 came back.
-    with pytest.raises(ValueError, match="trials must be >= 1, got 0"):
-        veronese_secant_dimension(2, 2, 3, trials=0)
-    with pytest.raises(ValueError, match="s must be >= 1, got 0"):
-        veronese_secant_dimension(2, 2, 0)
-
-
-def test_veronese_panels_are_drawn_at_sample_point_points(monkeypatch):
-    # The points the Veronese path evaluates are those of sample_point calls
-    # on the trial's stream (key (n, 0, a, 0), method 2), in order.
-    n, a, s, seed = 2, 3, 5, 4
-    seen = []
-    original = grassmann.gradient_rows
-
-    def recording(exps, points, p):
-        seen.append(points)
-        return original(exps, points, p)
-
-    monkeypatch.setattr(grassmann, "gradient_rows", recording)
-    veronese_secant_dimension(n, a, s, trials=1, field=FIELD, seed=seed)
-    points = np.vstack(seen)
-    rng = trial_rng(SimpleNamespace(n=n, m=0, a=a, b=0), seed, 0, FIELD.p, 2)
-    assert np.array_equal(points, np.array([sample_point(n, FIELD, rng) for _ in range(points.shape[0])]))

@@ -1,6 +1,3 @@
-from math import comb
-from types import SimpleNamespace
-
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -21,7 +18,6 @@ from segre_secant import (
     sample_point,
     secant_dimension,
     tangent_matrix,
-    veronese_secant_dimension,
 )
 from segre_secant.affine import (
     AffineSchemeSpec,
@@ -33,7 +29,7 @@ from segre_secant.monomials import exponent_vectors, gradient_rows, split_expone
 from segre_secant import field as field_module, terracini
 from segre_secant.terracini import rank_profile, tangent_block, trial_rng
 
-from oracles import chart_point, full_rank_profile, integer_tangent_matrix, rational_rank
+from oracles import chart_point, full_rank_profile, integer_tangent_matrix, rational_rank, segre_secant_dim
 
 FIELD = PrimeField(DEFAULT_PRIME)
 
@@ -90,6 +86,16 @@ def test_sporadic_defective_case():
 def test_quadric_secants_fill_p3():
     report = secant_dimension(SegreVeroneseSpec(1, 1, 1, 1), 2)
     assert report.computed_dim == 3 == report.spec.N
+
+
+def test_segre_profiles_match_determinantal_closed_form():
+    # Independent oracle for m >= 2: the (1, 1) embedding's secants are
+    # determinantal loci of (n+1) x (m+1) matrices.
+    for n in range(1, 5):
+        for m in range(1, 5):
+            s_max = min(n, m) + 2
+            dims = dimension_profile(SegreVeroneseSpec(n, m, 1, 1), s_max)
+            assert dims.tolist() == [segre_secant_dim(n, m, s) for s in range(1, s_max + 1)], (n, m)
 
 
 def test_abrescia_window_instance():
@@ -259,7 +265,7 @@ def _prime_above(bound):
 @example(cell=(1, 1, 2, 2), s_max=3, trials=3, small_prime=True, seed=1)
 @example(cell=(2, 1, 3, 1), s_max=5, trials=3, small_prime=True, seed=1)
 def test_early_stop_matches_full_loop(cell, s_max, trials, small_prime, seed):
-    # The tangent, affine and Veronese paths stop a trial at a full basis
+    # The tangent and affine paths stop a trial at a full basis
     # and skip trials once the max reaches min(ncols, s * point rank); the
     # full loop on the same trial_rng streams runs everything.  Primes just
     # above the Schwartz-Zippel bound make unlucky trials, so both the
@@ -269,10 +275,8 @@ def test_early_stop_matches_full_loop(cell, s_max, trials, small_prime, seed):
     ncols = spec.N + 1
     s_max = min(s_max, -(-ncols // (spec.dim + 1)) + 1)
 
-    def field_for(bound):
-        return PrimeField(_prime_above(bound)) if small_prime else PrimeField(DEFAULT_PRIME)
-
-    field = field_for(min(ncols, s_max * (spec.dim + 1)) * (a + b - 1))
+    bound = min(ncols, s_max * (spec.dim + 1)) * (a + b - 1)
+    field = PrimeField(_prime_above(bound) if small_prime else DEFAULT_PRIME)
     p = field.p
     alphas, betas = exponent_vectors(a, n + 1), exponent_vectors(b, m + 1)
 
@@ -306,23 +310,6 @@ def test_early_stop_matches_full_loop(cell, s_max, trials, small_prime, seed):
     report = secant_dimension_via_reduction(spec, s_max, trials=trials, field=field, seed=seed)
     assert report.computed_dim == full[-1] - 1
     panels = rank_profile(ncols, spec.dim + 1, field, s_max, trials, rng_for, _panel_of(double_point_at))
-    assert panels.tolist() == full
-
-    # The plain Veronese of degree a on P^n, stream key (n, 0, a, 0).
-    key = SimpleNamespace(n=n, m=0, a=a, b=0)
-    cols = comb(n + a, n)
-    field = field_for(min(cols, s_max * (n + 1)) * (a - 1))
-    exps = exponent_vectors(a, n + 1)
-
-    def veronese_at(rng):
-        return gradient_rows(exps, sample_point(n, field, rng), field.p)[1]
-
-    def rng_for(t):
-        return trial_rng(key, seed, t, field.p, 2)
-
-    full = full_rank_profile(cols, field, s_max, trials, rng_for, veronese_at)
-    assert veronese_secant_dimension(n, a, s_max, trials=trials, field=field, seed=seed) == full[-1] - 1
-    panels = rank_profile(cols, n + 1, field, s_max, trials, rng_for, _panel_of(veronese_at))
     assert panels.tolist() == full
 
 
@@ -581,8 +568,6 @@ def test_memory_check_runs_on_every_path():
     spec = SegreVeroneseSpec(2, 1, 2, 2)
     with pytest.raises(SizingError, match="affine rank profile"):
         secant_dimension_via_reduction(spec, 3, memory_budget=200)
-    with pytest.raises(SizingError, match="Veronese rank profile for n=2, a=3"):
-        veronese_secant_dimension(2, 3, 4, memory_budget=50)
     # A huge s is refused by its profile arrays before anything is drawn.
     with pytest.raises(SizingError, match="s=1000000000"):
         dimension_profile(SegreVeroneseSpec(1, 1, 1, 1), 10**9, trials=1)
