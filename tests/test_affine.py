@@ -16,6 +16,8 @@ from segre_secant import (
 from segre_secant.affine import condition_matrix, sample_generic_point
 from segre_secant.numerology import invariants
 
+from oracles import segre_secant_dim
+
 FIELD = PrimeField()
 
 
@@ -166,6 +168,16 @@ def test_reduction_rejects_zero_trials_and_s():
         secant_dimension_via_reduction(spec, 3, trials=0)
     with pytest.raises(ValueError, match="^s must be >= 1, got 0$"):
         secant_dimension_via_reduction(spec, 0)
+
+
+def test_reduction_matches_determinantal_closed_form():
+    # The (1, 1) embedding's secants are determinantal loci; the reduction
+    # path must find them too, not only the tangent path.
+    for n in range(1, 4):
+        for m in range(1, 4):
+            for s in range(1, min(n, m) + 3):
+                report = secant_dimension_via_reduction(SegreVeroneseSpec(n, m, 1, 1), s)
+                assert report.computed_dim == segre_secant_dim(n, m, s), (n, m, s)
 
 
 def test_sampled_points_avoid_special_subspaces():

@@ -1,9 +1,11 @@
+from dataclasses import fields
 from math import comb
 
 import pytest
 
 from segre_secant import (
     GrassmannQuery,
+    GrassmannVerdict,
     SegreVeroneseSpec,
     check_corollary,
     classify,
@@ -47,6 +49,20 @@ def test_other_k_refused():
     for query in (GrassmannQuery(2, 2, 0, 2), GrassmannQuery(2, 2, 2, 4)):
         with pytest.raises(ValueError, match=f"^only k = 1 is classified, got k={query.k}$"):
             grassmann_defect(query)
+
+
+def test_verdict_is_the_classification_of_the_a1_embedding():
+    # A verdict carries only closed-form fields, each read off classify's
+    # verdict for the bidegree-(a, 1) embedding of P^n x P^1.
+    assert [f.name for f in fields(GrassmannVerdict)] == ["query", "expected_dim", "defect", "dim", "rule"]
+    for n in range(1, 4):
+        for a in range(1, 5):
+            for s in range(2, comb(n + a, n)):
+                query = GrassmannQuery(n, a, 1, s)
+                verdict = grassmann_defect(query)
+                expected = classify(n, a, 1, s)
+                assert (verdict.defect, verdict.rule) == (expected.defect, expected.rule), (n, a, s)
+                assert verdict.dim == verdict.expected_dim - verdict.defect
 
 
 def test_monte_carlo_matches_closed_form_on_check_grid():
