@@ -66,7 +66,6 @@ from .terracini import (
     SecantReport,
     SegreVeroneseSpec,
     dimension_profile,
-    expected_secant_dimension,
     secant_dimension,
     tangent_matrix,
 )

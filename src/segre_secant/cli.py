@@ -37,20 +37,18 @@ from .numerology import (
     closed_form_e,
     closed_form_estar,
     expected_dimension,
-    expected_dimensions,
     invariants,
 )
 from .terracini import (
     DEFAULT_MEMORY_BUDGET,
     RNG_DESCRIPTION,
+    SCHEMA,
     SegreVeroneseSpec,
     check_prime_bound,
     check_profile_size,
     dimension_profile,
     secant_dimension,
 )
-
-SCHEMA = "segre-secant/1"
 
 #: Fixed CSV layout for secant-dimension rows.
 CSV_COLUMNS = (
@@ -198,18 +196,31 @@ def cmd_dim(args) -> int:
 # ---------------------------------------------------------------------------
 # verify
 
+def _expected_dimensions(n: int, m: int, a: int, b: int, s_max: int) -> np.ndarray:
+    """expected_dimension(n, m, a, b, s) for s = 1..s_max, as one int64 array."""
+    # The value at s_max caps every entry, and fits int64 where N + 1 may not.
+    cap = expected_dimension(n, m, a, b, s_max)
+    return np.minimum(np.arange(1, s_max + 1, dtype=np.int64) * (n + m + 1) - 1, cap)
+
+
+def _s_max(job) -> int:
+    """The largest s of a verify cell: q* + 1, or the largest listed s."""
+    n, m, a, b, s_policy, s_list = job[:6]
+    return invariants(n, m, a, b).qstar + 1 if s_policy == "uptoqstar" else max(s_list)
+
+
 def _verify_cell(job) -> dict:
     """Worker for one (n, m, a, b) cell; returns rows or an error record."""
     (n, m, a, b, s_policy, s_list, trials, primes, seed, memory_budget) = job
     try:
         spec = SegreVeroneseSpec(n, m, a, b)
-        s_max = invariants(n, m, a, b).qstar + 1 if s_policy == "uptoqstar" else max(s_list)
+        s_max = _s_max(job)
         # The first prime's checks, in the order its profile makes them (the
         # modulus, the prime bound, the budget), before anything here is
         # sized by s_max.
         check_profile_size(spec, s_max, PrimeField(primes[0]).p, memory_budget)
         s_values = tuple(range(1, s_max + 1)) if s_policy == "uptoqstar" else s_list
-        bound = expected_dimensions(n, m, a, b, s_max)
+        bound = _expected_dimensions(n, m, a, b, s_max)
         profiles = []
         for p in primes:
             field = PrimeField(p)
@@ -225,10 +236,11 @@ def _verify_cell(job) -> dict:
             ))
         rows = []
         for s in s_values:
+            # classify refuses an s below 1 before it can index a profile.
+            verdict = classify(n, a, b, s)
             per_prime = [int(profile[s - 1]) for profile in profiles]
             computed = max(per_prime)
             prime = primes[per_prime.index(computed)]
-            verdict = classify(n, a, b, s)
             expected = expected_dimension(n, m, a, b, s)
             rows.append({
                 "n": n, "m": m, "a": a, "b": b, "s": s, "N": spec.N,
@@ -271,12 +283,11 @@ def _cell_cost(job) -> int:
 
     0 for a cell that ``_verify_cell`` refuses before any work.
     """
-    n, m, a, b, s_policy, s_list = job[:6]
     try:
-        s_max = invariants(n, m, a, b).qstar + 1 if s_policy == "uptoqstar" else max(s_list)
+        s_max = _s_max(job)
     except ValueError:
         return 0
-    return (SegreVeroneseSpec(n, m, a, b).N + 1) ** 2 * s_max
+    return (SegreVeroneseSpec(*job[:4]).N + 1) ** 2 * s_max
 
 
 def _available_cores() -> int:

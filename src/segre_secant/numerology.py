@@ -28,6 +28,10 @@ dimension min(N, s(n+2) - 1) except for:
     dimensions increase strictly in s and reach N exactly at
     s = (d+1)(n+1), consistent with the defect-1 statements known for
     n <= 2, and it is the reading confirmed by the Monte-Carlo ranks.
+
+This module imports only the standard library: the engine reads N + 1, the
+n, m, a, b >= 1 check and the expected dimension from here, and only
+computed_e and computed_estar reach the engine, importing it when they run.
 """
 
 from __future__ import annotations
@@ -35,10 +39,6 @@ from __future__ import annotations
 from functools import lru_cache
 from math import comb
 from typing import NamedTuple
-
-import numpy as np
-
-from .terracini import SegreVeroneseSpec, dimension_profile
 
 RULE_MAIN = "main-theorem"
 RULE_CGG = "cgg-p1p1"
@@ -109,16 +109,6 @@ def expected_dimension(n: int, m: int, a: int, b: int, s: int) -> int:
     if s < 1:
         raise ValueError(f"s must be >= 1, got {s}")
     return min(ambient, s * (n + m + 1)) - 1
-
-
-def expected_dimensions(n: int, m: int, a: int, b: int, s_max: int) -> np.ndarray:
-    """expected_dimension(n, m, a, b, s) for s = 1..s_max, as one int64 array."""
-    ambient = _ambient(n, m, a, b)
-    if s_max < 1:
-        raise ValueError(f"s must be >= 1, got {s_max}")
-    linear = np.arange(1, s_max + 1, dtype=np.int64) * (n + m + 1)
-    # N + 1 may pass the int64 range; capped at the last linear count, it fits.
-    return np.minimum(linear, min(ambient, int(linear[-1]))) - 1
 
 
 class _VerdictFields(NamedTuple):
@@ -293,6 +283,9 @@ def computed_estar(
 @lru_cache(maxsize=8)
 def _scan_dims(spec: SegreVeroneseSpec, budget, trials, field, seed):
     """The one profile behind computed_e and computed_estar (read-only, cached)."""
+    # Read from terracini at each call; the closed-form layer loads no numpy.
+    from .terracini import dimension_profile
+
     num = invariants(spec.n, spec.m, spec.a, spec.b)
     s_max = num.qstar + spec.dim + 1
     if budget is not None:

@@ -29,12 +29,14 @@ panels of consecutive points, evaluates each panel's rows in one call and
 absorbs them in one ``RankAccumulator.absorb``; the rows of the panel that
 became pivots give the rank after each of its points.  The loop runs with
 OpenBLAS on one thread (``field.one_blas_thread``).
+
+N + 1, the n, m, a, b >= 1 check and each report's expected dimension
+come from the closed-form layer (``numerology``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, asdict
-from math import comb
 
 import numpy as np
 
@@ -48,6 +50,7 @@ from .field import (
     one_blas_thread,
 )
 from .monomials import exponent_vectors, gradient_rows
+from .numerology import _ambient, expected_dimension
 
 #: Largest number of matrix entries a single dimension query may allocate.
 DEFAULT_MEMORY_BUDGET = 2**25
@@ -65,7 +68,8 @@ RNG_DESCRIPTION = (
 
 _METHOD_TANGENT = 0
 
-_SCHEMA = "segre-secant/1"
+#: Schema tag of every JSON report.
+SCHEMA = "segre-secant/1"
 
 #: Allowed provenance tags for a SecantReport.
 METHODS = ("terracini", "affine-reduction")
@@ -81,15 +85,13 @@ class SegreVeroneseSpec:
     b: int
 
     def __post_init__(self) -> None:
-        if min(self.n, self.m, self.a, self.b) < 1:
-            raise ValueError(
-                f"n, m, a, b must all be >= 1, got ({self.n}, {self.m}, {self.a}, {self.b})"
-            )
+        # The closed-form layer's n, m, a, b >= 1 check, with its text.
+        _ambient(self.n, self.m, self.a, self.b)
 
     @property
     def N(self) -> int:
         """Ambient projective dimension, C(n+a, n) * C(m+b, m) - 1."""
-        return comb(self.n + self.a, self.n) * comb(self.m + self.b, self.m) - 1
+        return _ambient(self.n, self.m, self.a, self.b) - 1
 
     @property
     def dim(self) -> int:
@@ -98,13 +100,6 @@ class SegreVeroneseSpec:
 
     def swapped(self) -> "SegreVeroneseSpec":
         return SegreVeroneseSpec(self.m, self.n, self.b, self.a)
-
-
-def expected_secant_dimension(spec: SegreVeroneseSpec, s: int) -> int:
-    """min(N, s(n+m+1) - 1), the parameter-count upper bound."""
-    if s < 1:
-        raise ValueError(f"s must be >= 1, got {s}")
-    return min(spec.N, s * (spec.dim + 1) - 1)
 
 
 @dataclass
@@ -133,7 +128,7 @@ class SecantReport:
             raise ValueError(f"unknown method tag {self.method!r}")
 
     def to_dict(self) -> dict:
-        d = {"schema": _SCHEMA}
+        d = {"schema": SCHEMA}
         d.update(asdict(self.spec))
         d["N"] = self.spec.N
         for key in ("s", "expected_dim", "computed_dim", "defect", "prime", "seed", "trials", "method", "rng"):
@@ -145,7 +140,7 @@ class SecantReport:
         cls, spec: SegreVeroneseSpec, s: int, computed: int, field: PrimeField, seed: int, trials: int, method: str
     ) -> "SecantReport":
         """The report of a computed dimension against min(N, s(n+m+1) - 1)."""
-        expected = expected_secant_dimension(spec, s)
+        expected = expected_dimension(spec.n, spec.m, spec.a, spec.b, s)
         return cls(spec, s, expected, computed, expected - computed, field.p, seed, trials, method)
 
     @classmethod

@@ -11,7 +11,15 @@ from math import comb
 import pytest
 
 import segre_secant
-from segre_secant import SecantReport, SegreVeroneseSpec, SizingError, cli, dimension_profile
+from segre_secant import (
+    SecantReport,
+    SegreVeroneseSpec,
+    SizingError,
+    cli,
+    dimension_profile,
+    expected_dimension,
+    invariants,
+)
 from segre_secant.cli import CSV_COLUMNS, EXIT_DISCREPANCY, EXIT_OK, EXIT_USAGE, main
 from segre_secant.numerology import ClassificationVerdict
 
@@ -28,6 +36,14 @@ def run_fresh(argv, timeout):
     return subprocess.run(
         [sys.executable, "-m", "segre_secant.cli", *argv], capture_output=True, text=True, env=env, timeout=timeout
     )
+
+
+def fresh_json(proc):
+    """The JSON stdout of a run_fresh process; a failure to parse shows its stderr."""
+    try:
+        return json.loads(proc.stdout)
+    except json.JSONDecodeError as exc:
+        raise AssertionError(f"stdout is not JSON ({exc}); stderr: {proc.stderr!r}") from None
 
 
 def test_dim_sporadic_case_json(capsys):
@@ -277,8 +293,8 @@ def test_verify_refuses_a_huge_s_list_before_sizing_the_cell():
         "tangent rank profile for SegreVeroneseSpec(n=1, m=1, a=1, b=1) with s=100000000 "
         "needs 300000132 entries, budget is 33554432"
     )
-    assert proc.returncode == EXIT_USAGE
-    assert json.loads(proc.stdout)["errors"] == [{"cell": [1, 1, 1, 1], "error": message}]
+    assert proc.returncode == EXIT_USAGE, proc.stderr
+    assert fresh_json(proc)["errors"] == [{"cell": [1, 1, 1, 1], "error": message}]
     assert proc.stderr == f"cells / agreements / discrepancies: 0 / 0 / 1\ncell (1, 1, 1, 1): {message}\n"
     with pytest.raises(SizingError) as excinfo:
         dimension_profile(SegreVeroneseSpec(1, 1, 1, 1), 100000000)
@@ -291,10 +307,37 @@ def test_verify_s_list_of_a_million_builds_its_bound_at_once():
     # the bound and the second prime is never computed.
     argv = ["verify", "--s-policy", "list", "--s-list", "1000000", "--n-max", "1", "--a-max", "1", "--b-max", "1"]
     proc = run_fresh(argv, timeout=2)
-    assert proc.returncode == EXIT_OK
-    (row,) = json.loads(proc.stdout)["cells"]
+    assert proc.returncode == EXIT_OK, proc.stderr
+    (row,) = fresh_json(proc)["cells"]
     assert (row["s"], row["expected_dim"], row["computed_dim"], row["prime"]) == (1000000, 3, 3, 2147483647)
     assert proc.stderr == "cells / agreements / discrepancies: 1 / 1 / 0\n"
+
+
+@pytest.mark.parametrize("s_list, s", [("0", 0), ("-1,2", -1), ("-3,2", -3)])
+def test_verify_refuses_an_s_list_entry_below_one(capsys, s_list, s):
+    # The cell's verdict is read before its profiles are indexed, so an s
+    # below 1 is the cell's error, never an index into a profile.
+    argv = ["verify", "--s-policy", "list", f"--s-list={s_list}", "--n-max", "1", "--a-max", "1", "--b-max", "1",
+            "--jobs", "1"]
+    code, out, err = run(capsys, argv)
+    message = f"s must be >= 1, got {s}"
+    assert code == EXIT_USAGE
+    assert json.loads(out)["errors"] == [{"cell": [1, 1, 1, 1], "error": message}]
+    assert err == f"cells / agreements / discrepancies: 0 / 0 / 1\ncell (1, 1, 1, 1): {message}\n"
+
+
+def test_expected_dimensions_match_expected_dimension():
+    # The array form equals the scalar one at every s, on both sides of the
+    # cap at N, and with an N + 1 past the int64 range.
+    for n, m, a, b in [(1, 1, 1, 1), (2, 1, 3, 1), (3, 2, 2, 4), (4, 1, 5, 5)]:
+        s_max = invariants(n, m, a, b).qstar + 3
+        reference = [expected_dimension(n, m, a, b, s) for s in range(1, s_max + 1)]
+        assert cli._expected_dimensions(n, m, a, b, s_max).tolist() == reference
+    assert comb(80, 40) ** 2 > 2**63
+    assert cli._expected_dimensions(40, 40, 40, 40, 3).tolist() == [80, 161, 242]
+    assert cli._expected_dimensions(1, 1, 1, 1, 1).tolist() == [2]
+    with pytest.raises(ValueError, match=r"^s must be >= 1, got 0$"):
+        cli._expected_dimensions(1, 1, 1, 1, 0)
 
 
 @pytest.mark.parametrize("jobs", ["0", "-3"])
@@ -576,8 +619,8 @@ def test_numerology_answers_any_size():
     # q* is about 10**35 here: the thresholds come from where the defective
     # run starts and ends, with no scan over s.
     proc = run_fresh(["numerology", "--n", "60", "--m", "1", "--a", "60", "--b", "60"], timeout=2)
-    assert proc.returncode == EXIT_OK
-    payload = json.loads(proc.stdout)
+    assert proc.returncode == EXIT_OK, proc.stderr
+    payload = fresh_json(proc)
     q, r = divmod(comb(120, 60) * 61, 62)
     assert (payload["N"], payload["q"], payload["r"]) == (comb(120, 60) * 61 - 1, q, r)
     assert payload["e"] == payload["q"]
@@ -594,7 +637,7 @@ def test_numerology_answers_any_size():
 )
 def test_oversized_sweeps_are_refused_before_any_cell(argv, sweep):
     proc = run_fresh(argv, timeout=2)
-    assert (proc.returncode, proc.stdout) == (EXIT_USAGE, "")
+    assert (proc.returncode, proc.stdout) == (EXIT_USAGE, ""), proc.stderr
     assert proc.stderr == f"segre-secant: error: {sweep} has more than MAX_SWEEP_CELLS = 20000 cells\n"
 
 

@@ -14,7 +14,7 @@ from segre_secant import (
     grassmann_expected_dim,
 )
 
-from segre_secant import grassmann
+from segre_secant import grassmann, numerology
 
 
 def test_query_validation():
@@ -119,8 +119,10 @@ def test_corollary_curves_never_defective():
 
 def test_closed_form_module_holds_no_engine():
     # Every verdict is closed form: nothing of the rank engine is in reach.
-    names = vars(grassmann)
-    assert not {"np", "PrimeField", "rank_profile", "secant_dimension"} & names.keys()
+    # numerology imports the engine only inside computed_e / computed_estar.
+    engine = {"np", "PrimeField", "rank_profile", "dimension_profile", "secant_dimension"}
+    for module in (grassmann, numerology):
+        assert not engine & vars(module).keys(), module.__name__
 
 
 def test_corollary_bounds_validation():

@@ -3,8 +3,8 @@ from math import comb
 
 import pytest
 
-from segre_secant import numerology
-from segre_secant.numerology import MAX_SWEEP_CELLS, check_sweep_size, expected_dimensions
+from segre_secant import numerology, terracini
+from segre_secant.numerology import MAX_SWEEP_CELLS, check_sweep_size
 from segre_secant import (
     ClassificationVerdict,
     Numerology,
@@ -138,20 +138,6 @@ def test_threshold_sandwich_on_grid():
                 assert e <= num.q <= num.qstar <= estar, (n, a, b)
 
 
-def test_expected_dimensions_match_expected_dimension():
-    # The array form equals the scalar one at every s, on both sides of the
-    # cap at N, and with an N + 1 past the int64 range.
-    for n, m, a, b in [(1, 1, 1, 1), (2, 1, 3, 1), (3, 2, 2, 4), (4, 1, 5, 5)]:
-        s_max = invariants(n, m, a, b).qstar + 3
-        reference = [expected_dimension(n, m, a, b, s) for s in range(1, s_max + 1)]
-        assert expected_dimensions(n, m, a, b, s_max).tolist() == reference
-    assert comb(80, 40) ** 2 > 2**63
-    assert expected_dimensions(40, 40, 40, 40, 3).tolist() == [80, 161, 242]
-    assert expected_dimensions(1, 1, 1, 1, 1).tolist() == [2]
-    with pytest.raises(ValueError, match=r"^s must be >= 1, got 0$"):
-        expected_dimensions(1, 1, 1, 1, 0)
-
-
 @pytest.mark.parametrize(
     "n, a, b, e, estar",
     [
@@ -200,13 +186,14 @@ def test_computed_thresholds_match_closed_form(spec, e, estar):
 
 def test_computed_e_and_estar_share_one_scan(monkeypatch):
     calls = []
-    profile = numerology.dimension_profile
+    profile = terracini.dimension_profile
 
     def counted(*args, **kwargs):
         calls.append(args)
         return profile(*args, **kwargs)
 
-    monkeypatch.setattr(numerology, "dimension_profile", counted)
+    # _scan_dims reads the name from terracini when it runs.
+    monkeypatch.setattr(terracini, "dimension_profile", counted)
     numerology._scan_dims.cache_clear()
     spec = SegreVeroneseSpec(2, 1, 3, 1)
     assert (computed_e(spec, seed=5), computed_estar(spec, seed=5)) == (4, 6)
@@ -247,8 +234,8 @@ _SPEC_BELOW_ONE = "n, m, a, b must all be >= 1, got "
     ],
 )
 def test_closed_form_layer_refuses_parameters_below_one(call, message):
-    # The texts SegreVeroneseSpec and expected_secant_dimension raise, with
-    # the parameters checked before s.
+    # The texts numerology._ambient and expected_dimension raise, with the
+    # parameters checked before s; SegreVeroneseSpec raises the same text.
     with pytest.raises(ValueError) as excinfo:
         call()
     assert str(excinfo.value) == message

@@ -11,8 +11,6 @@ from segre_secant import (
     SegreVeroneseSpec,
     SizingError,
     dimension_profile,
-    expected_dimension,
-    expected_secant_dimension,
     is_prime,
     rank,
     sample_point,
@@ -183,14 +181,6 @@ def test_factor_swap_symmetry():
         direct = secant_dimension(spec, s).computed_dim
         swapped = secant_dimension(spec.swapped(), s).computed_dim
         assert direct == swapped
-
-
-def test_expected_dimension_formulas_agree():
-    for spec in (SegreVeroneseSpec(2, 1, 3, 1), SegreVeroneseSpec(2, 2, 2, 2)):
-        for s in range(1, 8):
-            assert expected_secant_dimension(spec, s) == expected_dimension(
-                spec.n, spec.m, spec.a, spec.b, s
-            )
 
 
 def test_input_validation():
