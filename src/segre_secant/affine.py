@@ -39,8 +39,7 @@ from .terracini import (
     SecantReport,
     SegreVeroneseSpec,
     check_memory_budget,
-    check_prime_bound,
-    panel_rows,
+    check_profile_size,
     rank_profile,
     trial_rng,
 )
@@ -163,12 +162,9 @@ def secant_dimension_via_reduction(
     """
     if field is None:
         field = PrimeField()
-    check_prime_bound(spec, s, field.p)
     scheme = AffineSchemeSpec(spec.n, spec.m, spec.a, spec.b, s)
+    check_profile_size(f"affine rank profile for {scheme}", spec, s, field.p, memory_budget)
     nvars = spec.dim + 1
-    check_memory_budget(
-        f"affine rank profile for {scheme}", spec.N + 1, panel_rows(nvars, s), s, memory_budget
-    )
     gammas = split_exponent_array(spec)
 
     def panel_at(rng: np.random.Generator, k: int) -> np.ndarray:

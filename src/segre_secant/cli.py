@@ -24,14 +24,14 @@ from __future__ import annotations
 import json
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from .affine import GenericityError, secant_dimension_via_reduction
 from .field import DEFAULT_PRIME, SECOND_PRIME, PrimeField, SizingError, _openblas_thread_calls, one_blas_thread
-from .grassmann import check_corollary
-from .induction import replay_main_theorem
+from .grassmann import CorollaryCell, check_corollary
+from .induction import ReplayCell, replay_main_theorem
 from .numerology import (
     classify,
     closed_form_e,
@@ -45,7 +45,6 @@ from .terracini import (
     SCHEMA,
     SegreVeroneseSpec,
     check_prime_bound,
-    check_profile_size,
     dimension_profile,
     secant_dimension,
 )
@@ -64,7 +63,12 @@ EXIT_DISCREPANCY = 2
 
 @dataclass
 class SweepConfig:
-    """Grid and engine settings for the verify sweep."""
+    """Grid and engine settings for the verify sweep.
+
+    The payload's "config" is every field but ``fmt`` and ``jobs``, in field
+    order, tuples as lists.  ``run_verify`` does not read ``fmt``; it stays
+    because callers such as perfbench construct the config with it.
+    """
 
     n_range: tuple[int, ...]
     m_range: tuple[int, ...]
@@ -122,11 +126,11 @@ def _parse_int_list(text: str, flag: str) -> tuple[int, ...]:
         raise ValueError(f"{flag} must be a comma-separated integer list, got {text!r}")
 
 
-def _emit_json(payload: dict) -> None:
-    print(json.dumps(payload, indent=2))
-
-
-def _emit_csv(rows, columns) -> None:
+def _emit(fmt: str, payload: dict, rows, columns) -> None:
+    """Prints the JSON payload, or the rows as CSV under a header of columns."""
+    if fmt == "json":
+        print(json.dumps(payload, indent=2))
+        return
     import csv
 
     writer = csv.writer(sys.stdout, lineterminator="\n")
@@ -160,12 +164,7 @@ def cmd_dim(args) -> int:
     if args.m == 1:
         verdict = classify(args.n, args.a, args.b, args.s)
         rule = verdict.rule
-        payload["classification"] = {
-            "defective": verdict.defective,
-            "defect": verdict.defect,
-            "dim": verdict.dim,
-            "rule": verdict.rule,
-        }
+        payload["classification"] = verdict._asdict()
         agreements.append(report.computed_dim == verdict.dim)
     rows = [_report_row(report, rule)]
     if args.cross_check:
@@ -179,10 +178,7 @@ def cmd_dim(args) -> int:
         rows.append(_report_row(reduction, rule))
     agree = all(agreements)
     payload["agreement"] = agree
-    if args.format == "json":
-        _emit_json(payload)
-    else:
-        _emit_csv(rows, CSV_COLUMNS)
+    _emit(args.format, payload, rows, CSV_COLUMNS)
     if not agree:
         print(
             f"discrepancy for {spec} s={args.s}: seed={seed} prime={field.p} "
@@ -215,16 +211,10 @@ def _verify_cell(job) -> dict:
     try:
         spec = SegreVeroneseSpec(n, m, a, b)
         s_max = _s_max(job)
-        # The first prime's checks, in the order its profile makes them (the
-        # modulus, the prime bound, the budget), before anything here is
-        # sized by s_max.
-        check_profile_size(spec, s_max, PrimeField(primes[0]).p, memory_budget)
-        s_values = tuple(range(1, s_max + 1)) if s_policy == "uptoqstar" else s_list
-        bound = _expected_dimensions(n, m, a, b, s_max)
-        profiles = []
+        profiles, bound = [], None
         for p in primes:
             field = PrimeField(p)
-            if any(np.array_equal(profile, bound) for profile in profiles):
+            if bound is not None and np.array_equal(profiles[-1], bound):
                 # No prime can exceed the bound, so the max and the first
                 # prime reaching it are known; the prime is still refused
                 # where a computed one would be.
@@ -234,8 +224,13 @@ def _verify_cell(job) -> dict:
                 spec, s_max, trials=trials, field=field, seed=seed,
                 memory_budget=memory_budget,
             ))
+            if bound is None:
+                # The first profile has made the cell's size checks (the
+                # modulus, the prime bound, the budget), so nothing here is
+                # sized by s_max before they pass.
+                bound = _expected_dimensions(n, m, a, b, s_max)
         rows = []
-        for s in s_values:
+        for s in range(1, s_max + 1) if s_policy == "uptoqstar" else s_list:
             # classify refuses an s below 1 before it can index a profile.
             verdict = classify(n, a, b, s)
             per_prime = [int(profile[s - 1]) for profile in profiles]
@@ -339,16 +334,9 @@ def run_verify(config: SweepConfig) -> tuple[dict, list[dict], int]:
         "schema": SCHEMA,
         "rng": RNG_DESCRIPTION,
         "config": {
-            "n_range": list(config.n_range),
-            "m_range": list(config.m_range),
-            "a_range": list(config.a_range),
-            "b_range": list(config.b_range),
-            "s_policy": config.s_policy,
-            "s_list": list(config.s_list),
-            "trials": config.trials,
-            "primes": list(config.primes),
-            "seed": config.seed,
-            "memory_budget": config.memory_budget,
+            key: list(value) if isinstance(value, tuple) else value
+            for key, value in asdict(config).items()
+            if key not in ("fmt", "jobs")
         },
         "cells": rows,
         "errors": errors,
@@ -387,10 +375,7 @@ def cmd_verify(args) -> int:
         jobs=args.jobs,
     )
     payload, rows, exit_code = run_verify(config)
-    if args.format == "json":
-        _emit_json(payload)
-    else:
-        _emit_csv(rows, CSV_COLUMNS)
+    _emit(args.format, payload, rows, CSV_COLUMNS)
     summary = payload["summary"]
     print(
         f"cells / agreements / discrepancies: "
@@ -411,20 +396,7 @@ def _fraction_str(value) -> str:
 
 def cmd_replay(args) -> int:
     report = replay_main_theorem(args.n_max, args.a_max, args.b_max)
-    cells = [
-        {
-            "n": cell.n, "a": cell.a, "b": cell.b, "case": cell.case,
-            "cond1": cell.cond1, "cond3star": cell.cond3star, "cond4": cell.cond4,
-            "dagger": cell.dagger,
-            "ddagger": cell.ddagger,
-            "f": _fraction_str(cell.f),
-            "g": _fraction_str(cell.g),
-            "estar_matches": cell.estar_matches,
-            "certificate_ok": cell.certificate_ok,
-            "passed": cell.passed,
-        }
-        for cell in report.cells
-    ]
+    cells = [dict(cell._asdict(), f=_fraction_str(cell.f), g=_fraction_str(cell.g)) for cell in report.cells]
     payload = {
         "schema": SCHEMA,
         "bounds": {"n_max": args.n_max, "a_max": args.a_max, "b_max": args.b_max},
@@ -437,13 +409,7 @@ def cmd_replay(args) -> int:
             "all_passed": report.all_passed,
         },
     }
-    if args.format == "json":
-        _emit_json(payload)
-    else:
-        columns = ("n", "a", "b", "case", "cond1", "cond3star", "cond4",
-                   "dagger", "ddagger", "f", "g", "estar_matches",
-                   "certificate_ok", "passed")
-        _emit_csv(cells, columns)
+    _emit(args.format, payload, cells, ReplayCell._fields)
     print(
         f"inductive cells / failures: {len(cells)} / {len(report.failures)}",
         file=sys.stderr,
@@ -456,13 +422,7 @@ def cmd_replay(args) -> int:
 
 def cmd_grassmann(args) -> int:
     report = check_corollary(args.n_max, args.a_max)
-    cells = [
-        {
-            "n": cell.n, "a": cell.a, "s": cell.s,
-            "expected_dim": cell.expected_dim, "dim": cell.dim, "defect": cell.defect,
-        }
-        for cell in report.cells
-    ]
+    cells = [cell._asdict() for cell in report.cells]
     payload = {
         "schema": SCHEMA,
         "bounds": {"n_max": args.n_max, "a_max": args.a_max, "k": 1},
@@ -470,10 +430,7 @@ def cmd_grassmann(args) -> int:
         "defective": [c for c in cells if c["defect"] > 0],
         "summary": {"cells": len(cells), "passed": report.passed},
     }
-    if args.format == "json":
-        _emit_json(payload)
-    else:
-        _emit_csv(cells, ("n", "a", "s", "expected_dim", "dim", "defect"))
+    _emit(args.format, payload, cells, CorollaryCell._fields)
     print(
         f"grassmann cells / defective: {len(cells)} / {len(payload['defective'])}",
         file=sys.stderr,
@@ -490,16 +447,12 @@ def cmd_numerology(args) -> int:
     payload = {
         "schema": SCHEMA,
         "n": args.n, "m": args.m, "a": args.a, "b": args.b,
-        "N": spec.N, "q": num.q, "r": num.r, "qstar": num.qstar,
+        "N": spec.N, **num._asdict(),
     }
     if args.m == 1:
         payload["e"] = closed_form_e(args.n, args.a, args.b)
         payload["estar"] = closed_form_estar(args.n, args.a, args.b)
-    if args.format == "json":
-        _emit_json(payload)
-    else:
-        columns = [key for key in payload if key != "schema"]
-        _emit_csv([payload], columns)
+    _emit(args.format, payload, [payload], [key for key in payload if key != "schema"])
     return EXIT_OK
 
 
@@ -566,7 +519,7 @@ def build_parser():
                           help="comma-separated s values (with --s-policy list)")
     p_verify.add_argument("--primes", type=str,
                           default=f"{DEFAULT_PRIME},{SECOND_PRIME}")
-    p_verify.add_argument("--jobs", type=int, default=os.cpu_count() or 1,
+    p_verify.add_argument("--jobs", type=int, default=_available_cores(),
                           help="parallel cell workers (default: available cores)")
     _add_engine_options(p_verify)
     _add_format(p_verify)

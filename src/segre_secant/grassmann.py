@@ -96,9 +96,9 @@ class CorollaryCell(NamedTuple):
     n: int
     a: int
     s: int
-    defect: int
-    dim: int
     expected_dim: int
+    dim: int
+    defect: int
 
 
 @dataclass(frozen=True)
@@ -150,5 +150,5 @@ def check_corollary(n_max: int, a_max: int) -> CorollaryReport:
             for s in range(2, N + 1):
                 expected = min(s * n + 2 * (s - 2), 2 * (N - 1))
                 defect = classify(n, a, 1, s).defect if first <= s < end else 0
-                cells.append(CorollaryCell(n, a, s, defect, expected - defect, expected))
+                cells.append(CorollaryCell(n, a, s, expected, expected - defect, defect))
     return CorollaryReport(n_max=n_max, a_max=a_max, cells=tuple(cells))

@@ -29,6 +29,8 @@ from itertools import chain, combinations
 
 import numpy as np
 
+from .numerology import _ambient
+
 
 def exponent_vectors(degree: int, nvars: int) -> np.ndarray:
     """All exponent vectors of the given total degree, descending lex.
@@ -88,8 +90,7 @@ def gradient_rows(exps: np.ndarray, points, p: int) -> tuple[np.ndarray, np.ndar
 
 def _validate(spec) -> tuple[int, int, int, int]:
     n, m, a, b = spec.n, spec.m, spec.a, spec.b
-    if min(n, m, a, b) < 1:
-        raise ValueError(f"n, m, a, b must all be >= 1, got ({n}, {m}, {a}, {b})")
+    _ambient(n, m, a, b)  # the closed-form layer's n, m, a, b >= 1 check, with its text
     return n, m, a, b
 
 

@@ -275,7 +275,6 @@ def rank_profile(
     trials: int,
     rng_for,
     panel_at,
-    s_name: str = "s",
 ) -> np.ndarray:
     """Rank after each of s_max sampled points, the elementwise max over trials.
 
@@ -307,11 +306,11 @@ def rank_profile(
 
     The two callers, ``dimension_profile`` and
     ``affine.secant_dimension_via_reduction``, size the run with
-    ``check_memory_budget`` before they build anything.  ``s_name`` names
-    s_max in the error raised when it is below 1.
+    ``check_profile_size`` before they build anything.  An s_max below 1
+    is refused as ``s must be >= 1``, the text every path gives for an s.
     """
     if s_max < 1:
-        raise ValueError(f"{s_name} must be >= 1, got {s_max}")
+        raise ValueError(f"s must be >= 1, got {s_max}")
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     panel_points = panel_rows(point_rank, s_max) // point_rank
@@ -336,18 +335,16 @@ def rank_profile(
     return best
 
 
-def check_profile_size(spec: SegreVeroneseSpec, s_max: int, p: int, memory_budget: int) -> None:
-    """The checks ``dimension_profile`` makes before it builds anything.
+def check_profile_size(what: str, spec: SegreVeroneseSpec, s_max: int, p: int, memory_budget: int) -> None:
+    """The checks a rank profile of ``spec`` up to s_max passes before it runs.
 
-    ``check_prime_bound`` at s_max, then ``check_memory_budget`` of the
-    tangent rank profile; a caller can run them before sizing its own work
-    by s_max and get the same refusal.
+    ``check_prime_bound`` at s_max, then ``check_memory_budget`` of a
+    profile of n + m + 1 rows per point on N + 1 columns, the shape of both
+    the tangent and the affine-reduction path; ``what`` names the profile
+    in a budget refusal.
     """
     check_prime_bound(spec, s_max, p)
-    check_memory_budget(
-        f"tangent rank profile for {spec} with s={s_max}", spec.N + 1,
-        panel_rows(spec.dim + 1, s_max), s_max, memory_budget,
-    )
+    check_memory_budget(what, spec.N + 1, panel_rows(spec.dim + 1, s_max), s_max, memory_budget)
 
 
 def dimension_profile(
@@ -366,7 +363,7 @@ def dimension_profile(
     """
     if field is None:
         field = PrimeField(DEFAULT_PRIME)
-    check_profile_size(spec, s_max, field.p, memory_budget)
+    check_profile_size(f"tangent rank profile for {spec} with s={s_max}", spec, s_max, field.p, memory_budget)
     alphas = exponent_vectors(spec.a, spec.n + 1)
     betas = exponent_vectors(spec.b, spec.m + 1)
 
@@ -383,7 +380,7 @@ def dimension_profile(
     ranks = rank_profile(
         alphas.shape[0] * betas.shape[0], spec.dim + 1, field, s_max, trials,
         lambda trial: trial_rng(spec, seed, trial, field.p, _METHOD_TANGENT),
-        panel_at, s_name="s_max",
+        panel_at,
     )
     return ranks - 1
 

@@ -8,6 +8,7 @@ from segre_secant import (
     GenericityError,
     PrimeField,
     SegreVeroneseSpec,
+    dimension_profile,
     ideal_dimension,
     rank,
     secant_dimension,
@@ -161,13 +162,14 @@ def test_reduction_rejects_too_small_prime():
 
 
 def test_reduction_rejects_zero_trials_and_s():
-    # The shared rank-profile checks, under rank_profile's default s name;
+    # The shared rank-profile checks, with the one text both paths give;
     # without them no trial ran and -1 came back.
     spec = SegreVeroneseSpec(2, 1, 2, 2)
     with pytest.raises(ValueError, match="^trials must be >= 1, got 0$"):
         secant_dimension_via_reduction(spec, 3, trials=0)
-    with pytest.raises(ValueError, match="^s must be >= 1, got 0$"):
-        secant_dimension_via_reduction(spec, 0)
+    for profile in (secant_dimension_via_reduction, dimension_profile):
+        with pytest.raises(ValueError, match="^s must be >= 1, got 0$"):
+            profile(spec, 0)
 
 
 def test_reduction_matches_determinantal_closed_form():

@@ -349,6 +349,12 @@ def test_verify_refuses_jobs_below_one(capsys, jobs):
         _sweep((1,), (1,), (1,), int(jobs))
 
 
+def test_verify_jobs_defaults_to_the_available_cores(monkeypatch):
+    # The affinity mask the pool's clamp reads, not the machine's core count.
+    monkeypatch.setattr("segre_secant.cli._available_cores", lambda: 3)
+    assert cli.build_parser().parse_args(["verify"]).jobs == 3
+
+
 @pytest.mark.parametrize("policy", ["upto-qstar", "", "LIST"])
 def test_sweep_config_refuses_unknown_s_policy(policy):
     # Without the check every cell of such a sweep failed on an empty s list.
@@ -520,6 +526,19 @@ PINNED_STDOUT = {
         "6085a5f20e90a42d51855eb45320b109d060c067a3a167e1bbef67d573965d4b",
     ("replay", "--n-max", "8", "--a-max", "10", "--b-max", "8"):
         "fcc5cbae0825f5905009a2eca0bc301feecf7172c278ea6dd11a05483f8b6f5e",
+    # The CSV and numerology outputs, whose rows are the library's records.
+    ("replay", "--n-max", "8", "--a-max", "10", "--b-max", "8", "--format", "csv"):
+        "0f61d4405310b77cddcd9a7d86ce05ab4060ed76d0877fae04e7897287d2f9da",
+    ("grassmann", "--n-max", "5", "--a-max", "6", "--format", "csv"):
+        "228cd77c1790ac9fb2305561e588d51bb8fb324fa036a9e9ba6b8d745f2785e0",
+    ("numerology", "--n", "2", "--m", "1", "--a", "3", "--b", "1"):
+        "c7774ae1cc4c530731b705aa624e032bb8f3ea2bcf31bff72cd6792c13f88c9a",
+    ("numerology", "--n", "2", "--m", "1", "--a", "3", "--b", "1", "--format", "csv"):
+        "d8265c410f138dde0f82780e66bd76dd319bc6fbb61a6f9af6787aecdb1a95b8",
+    ("numerology", "--n", "3", "--m", "2", "--a", "2", "--b", "2", "--format", "csv"):
+        "cc4fef0a7f089e8bcba6606800d72a318c8e1c9d051b61a0a82288986d475d7b",
+    ("dim", "--n", "2", "--m", "1", "--a", "3", "--b", "1", "--s", "5", "--cross-check", "--format", "csv"):
+        "b3350784dc080e13261abb88fdd51003b4a5d43d3225bcbb2778ae844f951af1",
 }
 
 

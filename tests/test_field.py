@@ -13,7 +13,7 @@ from segre_secant import (
     rank,
     sample_point,
 )
-from segre_secant.field import MAX_PRODUCT_TERMS, PANEL_ROWS
+from segre_secant.field import _MR_BASES, MAX_PRODUCT_TERMS, PANEL_ROWS
 from segre_secant.terracini import SegreVeroneseSpec, tangent_matrix, trial_rng
 
 from oracles import integer_tangent_matrix, modular_rank, rational_rank
@@ -40,6 +40,23 @@ def test_prime_field_rejects_bad_moduli(bad):
         with pytest.raises((ValueError, TypeError)):
             PrimeField(bad)
         PrimeField(DEFAULT_PRIME)
+
+
+@pytest.mark.parametrize("composite", [1763, 1373653, 3215031751])
+def test_miller_rabin_refutes_composites_without_a_small_factor(composite):
+    # 41 * 43, then 829 * 1657 (a strong pseudoprime to bases 2 and 3) and
+    # 151 * 751 * 28351 (the least strong pseudoprime to bases 2, 3, 5 and
+    # 7): no base divides them, so a Miller-Rabin round refutes them.
+    assert all(composite % q for q in _MR_BASES)
+    assert not is_prime(composite)
+    message = "is not prime" if composite < 2**31 else "outside the supported range"
+    with pytest.raises(ValueError, match=message):
+        PrimeField(composite)
+
+
+def test_prime_field_refuses_a_float_modulus():
+    with pytest.raises(TypeError, match="^modulus must be an int, got float$"):
+        PrimeField(2147483647.0)
 
 
 def test_repeated_fields_prove_their_modulus_once():

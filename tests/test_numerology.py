@@ -271,7 +271,7 @@ def test_sweep_size_limit(monkeypatch):
 def test_sweep_records_are_immutable_in_field_order():
     records = [
         (invariants(2, 1, 4, 2), ("q", "r", "qstar")),
-        (check_corollary(3, 5).cells[0], ("n", "a", "s", "defect", "dim", "expected_dim")),
+        (check_corollary(3, 5).cells[0], ("n", "a", "s", "expected_dim", "dim", "defect")),
         (replay_main_theorem(4, 5, 2).cells[0], (
             "n", "a", "b", "case", "cond1", "cond3star", "cond4", "dagger", "ddagger",
             "f", "g", "estar_matches", "certificate_ok", "passed",
