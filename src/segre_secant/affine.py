@@ -80,20 +80,27 @@ def sample_generic_point(
     scheme: AffineSchemeSpec,
     field: PrimeField,
     rng: np.random.Generator,
+    k: int,
 ) -> np.ndarray:
-    """A point of P^(n+m) off H1 and H2, in the chart z_0 = 1.
+    """k points of P^(n+m) off H1 and H2, in the chart z_0 = 1, as (k, n+m+1).
 
-    With z_0 = 1 the point can never lie on H2 = {z_0 = ... = z_n = 0}; it
-    lies on H1 = {z_n = ... = z_(n+m) = 0} only when the trailing m + 1
-    coordinates all vanish, which is rejection-sampled away.
+    z_0 = 1 avoids H2 = {z_0 = ... = z_n = 0}.  Draws on H1 = {z_n = ... =
+    z_(n+m) = 0} are dropped and refilled from the same stream, which gives
+    the points of drawing one at a time; MAX_POINT_RETRIES draws in a row
+    on H1 raise ``GenericityError``.
     """
-    for _ in range(MAX_POINT_RETRIES):
-        point = sample_point(scheme.n + scheme.m, field, rng)
-        if np.any(point[scheme.n :]):
-            return point
-    raise GenericityError(
-        f"failed to sample a point off H1 for {scheme} after {MAX_POINT_RETRIES} retries"
-    )
+    points = np.empty((0, scheme.n + scheme.m + 1), dtype=np.int64)
+    run = 0  # draws on H1 since the last point kept
+    while len(points) < k:
+        z = sample_point(scheme.n + scheme.m, field, rng, k - len(points))
+        kept = np.flatnonzero(z[:, scheme.n :].any(axis=1))
+        # Draws on H1 before each kept row, then after the last one.
+        runs = np.diff(np.concatenate([[-1 - run], kept, [len(z)]])) - 1
+        if runs.max() >= MAX_POINT_RETRIES:
+            raise GenericityError(f"failed to sample a point off H1 for {scheme} after {MAX_POINT_RETRIES} retries")
+        run = runs[-1]
+        points = np.concatenate([points, z[kept]])
+    return points
 
 
 def condition_matrix(
@@ -140,8 +147,8 @@ def ideal_dimension(
     rows = scheme.s * (scheme.n + scheme.m + 1) + scheme.simple_points
     check_memory_budget(f"condition matrix for {scheme}", ncols, rows, 0, memory_budget)
     rng = trial_rng(scheme.embedding, seed, 0, field.p, _METHOD_AFFINE)
-    doubles = [sample_generic_point(scheme, field, rng) for _ in range(scheme.s)]
-    simples = [sample_generic_point(scheme, field, rng) for _ in range(scheme.simple_points)]
+    doubles = sample_generic_point(scheme, field, rng, scheme.s)
+    simples = sample_generic_point(scheme, field, rng, scheme.simple_points)
     return ncols - rank(condition_matrix(scheme, doubles, simples, field))
 
 
@@ -168,7 +175,7 @@ def secant_dimension_via_reduction(
     gammas = split_exponent_array(spec)
 
     def panel_at(rng: np.random.Generator, k: int) -> np.ndarray:
-        points = np.array([sample_generic_point(scheme, field, rng) for _ in range(k)])
+        points = sample_generic_point(scheme, field, rng, k)
         return gradient_rows(gammas, points, field.p)[1].reshape(k * nvars, -1)
 
     ranks = rank_profile(

@@ -13,10 +13,11 @@ numerology  the counting invariants q, r, q* (and e, e* when m = 1)
 
 Conventions: data goes to stdout (JSON by default, CSV on request with a
 fixed column set), diagnostics to stderr.  Exit code 0 means success and
-agreement, 1 a usage or sizing error (also when raised inside a verify
-cell), 2 a mathematical discrepancy.  The seed comes from --seed, falling
-back to the SEGRE_SECANT_SEED environment variable, then 0; identical
-seed, primes and flags produce byte-identical output regardless of --jobs.
+agreement, 1 a usage or sizing error (also inside a verify cell) or a
+closed stdout, 2 a mathematical discrepancy.  The seed comes from --seed,
+falling back to the SEGRE_SECANT_SEED environment variable, then 0;
+identical seed, primes and flags produce byte-identical output regardless
+of --jobs.
 """
 
 from __future__ import annotations
@@ -29,10 +30,11 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .affine import GenericityError, secant_dimension_via_reduction
-from .field import DEFAULT_PRIME, SECOND_PRIME, PrimeField, SizingError, _openblas_thread_calls, one_blas_thread
+from .field import DEFAULT_PRIME, SECOND_PRIME, PrimeField, SizingError, one_blas_thread
 from .grassmann import CorollaryCell, check_corollary
 from .induction import ReplayCell, replay_main_theorem
 from .numerology import (
+    _ambient,
     classify,
     closed_form_e,
     closed_form_estar,
@@ -130,13 +132,14 @@ def _emit(fmt: str, payload: dict, rows, columns) -> None:
     """Prints the JSON payload, or the rows as CSV under a header of columns."""
     if fmt == "json":
         print(json.dumps(payload, indent=2))
-        return
-    import csv
+    else:
+        import csv
 
-    writer = csv.writer(sys.stdout, lineterminator="\n")
-    writer.writerow(columns)
-    for row in rows:
-        writer.writerow([row.get(col, "") for col in columns])
+        writer = csv.writer(sys.stdout, lineterminator="\n")
+        writer.writerow(columns)
+        for row in rows:
+            writer.writerow([row.get(col, "") for col in columns])
+    sys.stdout.flush()  # a closed stdout raises here, before any diagnostic
 
 
 def _report_row(report, rule: str) -> dict:
@@ -255,24 +258,6 @@ def _verify_cell(job) -> dict:
         return {"cell": (n, m, a, b), "error": str(exc)}
 
 
-def _pin_blas_threads() -> None:
-    """Runs OpenBLAS on one thread in this process; does nothing without it.
-
-    Parallelism comes from --jobs, one cell per core: OpenBLAS threads in
-    the parent and in each pool worker would compete for the same cores.
-    The engine's own scope (``field.one_blas_thread``) then finds one
-    thread and makes no call.  ``run_verify`` forks its pool inside that
-    scope, so a forked worker already runs on one thread and is left
-    alone: in a forked child any set call restarts OpenBLAS's thread pool,
-    whose new threads spin-wait before they sleep.
-    """
-    calls = _openblas_thread_calls()
-    if calls is not None:
-        set_threads, get_threads = calls
-        if get_threads() != 1:
-            set_threads(1)
-
-
 def _cell_cost(job) -> int:
     """ncols**2 * s_max, the scale of a verify cell's elimination work.
 
@@ -307,15 +292,15 @@ def run_verify(config: SweepConfig) -> tuple[dict, list[dict], int]:
     if workers > 1:
         # Largest cells first, so none is left to run alone at the end;
         # results go back into grid order.  The pool forks inside the
-        # one-thread scope, so its workers start on one BLAS thread and
-        # their initializer makes no set call.  concurrent.futures is
-        # imported only here: it also loads multiprocessing, logging, socket
-        # and subprocess, which a serial run never uses.
+        # one-thread scope, so forked workers start on one BLAS thread and
+        # their profiles make no set call.  concurrent.futures is imported
+        # only here: it also loads multiprocessing, logging, socket and
+        # subprocess, which a serial run never uses.
         from concurrent.futures import ProcessPoolExecutor
 
         order = sorted(range(len(jobs)), key=lambda i: _cell_cost(jobs[i]), reverse=True)
         results = [None] * len(jobs)
-        with one_blas_thread(), ProcessPoolExecutor(max_workers=workers, initializer=_pin_blas_threads) as pool:
+        with one_blas_thread(), ProcessPoolExecutor(max_workers=workers) as pool:
             for i, result in zip(order, pool.map(_verify_cell, [jobs[i] for i in order])):
                 results[i] = result
     else:
@@ -443,11 +428,10 @@ def cmd_grassmann(args) -> int:
 
 def cmd_numerology(args) -> int:
     num = invariants(args.n, args.m, args.a, args.b)
-    spec = SegreVeroneseSpec(args.n, args.m, args.a, args.b)
     payload = {
         "schema": SCHEMA,
         "n": args.n, "m": args.m, "a": args.a, "b": args.b,
-        "N": spec.N, **num._asdict(),
+        "N": _ambient(args.n, args.m, args.a, args.b) - 1, **num._asdict(),
     }
     if args.m == 1:
         payload["e"] = closed_form_e(args.n, args.a, args.b)
@@ -556,9 +540,13 @@ def build_parser():
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    _pin_blas_threads()
     try:
         return args.func(args)
+    except BrokenPipeError:
+        # Python's "Note on SIGPIPE": devnull takes stdout for the exit flush.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print("segre-secant: error: stdout was closed before all output was written", file=sys.stderr)
+        return EXIT_USAGE
     except (ValueError, SizingError, GenericityError) as exc:
         print(f"segre-secant: error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -22,8 +22,8 @@ therefore does not enter the exactness bound; RankAccumulator still
 refuses a basis of MAX_BASIS_ROWS rows or more.
 
 Those products are small, so OpenBLAS threads only add contention:
-``one_blas_thread`` runs a computation on one thread and restores the
-caller's thread count afterwards; ``terracini.rank_profile`` runs in it.
+``one_blas_thread``, the only OpenBLAS control, runs a computation on
+one thread and restores the caller's count; each rank profile runs in it.
 
 ``is_prime`` caches its verdicts, so each modulus is proved prime once per
 process however many PrimeField objects are built over it.
@@ -163,10 +163,10 @@ def one_blas_thread():
 
     The kernel multiplies a panel of rows against the basis, products small
     enough that threads cost more CPU than they save wall time.  The count
-    is set only
-    if it is not 1 already, and restored on exit, exceptions included: in
-    a forked child any set call restarts OpenBLAS's thread pool, so a
-    process that already runs on one thread makes no call at all.
+    is set only if it is not 1 already, and restored on exit, exceptions
+    included: in a forked child any set call restarts OpenBLAS's thread
+    pool, so a process on one thread, such as a worker that
+    ``cli.run_verify`` forks inside this scope, makes no call at all.
     """
     calls = _openblas_thread_calls()
     before = 1 if calls is None else calls[1]()
@@ -181,19 +181,19 @@ def one_blas_thread():
         set_threads(before)
 
 
-def sample_point(dim: int, field: PrimeField, rng: np.random.Generator) -> np.ndarray:
-    """Sample a point of P^dim in the affine chart with leading coordinate 1.
+def sample_point(dim: int, field: PrimeField, rng: np.random.Generator, k: int) -> np.ndarray:
+    """k points of P^dim in the chart with leading coordinate 1, as (k, dim + 1).
 
-    Returns a vector of dim + 1 elements: the first is 1, the rest are drawn
-    uniformly from [0, p).  The sequence is fully determined by the state of
-    ``rng``, so identically seeded generators reproduce identical points.
+    The package's one coordinate draw: the other entries come from one
+    ``rng.integers`` call, uniform in [0, p), row by row, so one (k, d)
+    draw gives the values of k draws of (1, d), in order.
     """
     if dim < 1:
         raise ValueError(f"dim must be >= 1, got {dim}")
-    v = np.empty(dim + 1, dtype=np.int64)
-    v[0] = 1
-    v[1:] = rng.integers(0, field.p, size=dim, dtype=np.int64)
-    return v
+    z = np.empty((k, dim + 1), dtype=np.int64)
+    z[:, 0] = 1
+    z[:, 1:] = rng.integers(0, field.p, size=(k, dim), dtype=np.int64)
+    return z
 
 
 @dataclass

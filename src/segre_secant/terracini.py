@@ -48,6 +48,7 @@ from .field import (
     RankAccumulator,
     SizingError,
     one_blas_thread,
+    sample_point,
 )
 from .monomials import exponent_vectors, gradient_rows
 from .numerology import _ambient, expected_dimension
@@ -368,14 +369,12 @@ def dimension_profile(
     betas = exponent_vectors(spec.b, spec.m + 1)
 
     def panel_at(rng: np.random.Generator, k: int) -> np.ndarray:
-        # One draw for the panel: row i holds point i's x then y coordinates
-        # after the leading 1, the values of a sample_point call for x and
-        # one for y per point.
-        coords = rng.integers(0, field.p, size=(k, spec.n + spec.m), dtype=np.int64)
-        ones = np.ones((k, 1), dtype=np.int64)
-        x = np.hstack([ones, coords[:, : spec.n]])
-        y = np.hstack([ones, coords[:, spec.n :]])
-        return _tangent_rows(alphas, betas, x, y, field.p, 1)
+        # Row i of z is 1, then point i's x then y coordinates after their
+        # leading 1s; y's leading 1 overwrites a copy of x's last coordinate.
+        z = sample_point(spec.dim, field, rng, k)
+        y = z[:, spec.n :].copy()
+        y[:, 0] = 1
+        return _tangent_rows(alphas, betas, z[:, : spec.n + 1], y, field.p, 1)
 
     ranks = rank_profile(
         alphas.shape[0] * betas.shape[0], spec.dim + 1, field, s_max, trials,

@@ -7,12 +7,15 @@ enumerators walk plain cartesian products, and the tangent rows are
 evaluated in exact Python integers.  The one exception is
 ``full_rank_profile``, which checks the trial loop's control flow and so
 reuses the package's rank accumulator (checked against ``modular_rank`` by
-its own tests).
+its own tests).  ``points_off_h1_one_by_one`` draws the affine path's
+points one at a time, straight from the generator.
 Slow is fine here; independence is the point.
 """
 
 from fractions import Fraction
 from itertools import product
+
+import numpy as np
 
 from segre_secant import RankAccumulator
 
@@ -167,3 +170,24 @@ def full_rank_profile(ncols, field, s_max, trials, rng_for, block_at):
         ranks = [acc.absorb(block_at(rng)) for _ in range(s_max)]
         best = [max(old, new) for old, new in zip(best, ranks)]
     return best
+
+
+def points_off_h1_one_by_one(n, m, p, rng, k, retries=16):
+    """k points of P^(n+m) off H1, drawn one point at a time.
+
+    Each draw is 1 followed by n + m coordinates from one
+    ``rng.integers(0, p, size=n + m)`` call; a draw whose trailing m + 1
+    coordinates all vanish lies on H1 and is retried, and ``retries`` draws
+    in a row on H1 raise RuntimeError.  This is the affine path's sampling
+    loop before it drew a panel at a time.
+    """
+    points = []
+    for _ in range(k):
+        for _ in range(retries):
+            point = [1] + rng.integers(0, p, size=n + m, dtype=np.int64).tolist()
+            if any(point[n:]):
+                points.append(point)
+                break
+        else:
+            raise RuntimeError(f"{retries} draws in a row on H1")
+    return points

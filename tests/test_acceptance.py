@@ -152,7 +152,7 @@ def test_criterion_4_duality_and_euler_invariants():
     for spec, s in _random_specs():
         rng = trial_rng(spec, seed=SEED, trial=0, prime=field.p)
         points = [
-            (sample_point(spec.n, field, rng), sample_point(spec.m, field, rng))
+            (sample_point(spec.n, field, rng, 1)[0], sample_point(spec.m, field, rng, 1)[0])
             for _ in range(s)
         ]
         # The ideal of the double points at the matching points of P^(n+m).

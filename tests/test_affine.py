@@ -17,7 +17,7 @@ from segre_secant import (
 from segre_secant.affine import condition_matrix, sample_generic_point
 from segre_secant.numerology import invariants
 
-from oracles import segre_secant_dim
+from oracles import points_off_h1_one_by_one, segre_secant_dim
 
 FIELD = PrimeField()
 
@@ -53,7 +53,7 @@ def test_one_double_point_imposes_full_conditions():
 
     spec = SegreVeroneseSpec(2, 1, 2, 1)
     rng = trial_rng(spec, seed=0, trial=0, prime=FIELD.p)
-    points = [(sample_point(2, FIELD, rng), sample_point(1, FIELD, rng))]
+    points = [(sample_point(2, FIELD, rng, 1)[0], sample_point(1, FIELD, rng, 1)[0])]
     conditions = tangent_matrix(spec, points, FIELD)
     assert conditions.cols - rank(conditions) == 8
 
@@ -147,9 +147,72 @@ class _ZeroGenerator:
 
 def test_rejection_cap_raises_loudly():
     scheme = AffineSchemeSpec(1, 1, 1, 1, 1)
-    with pytest.raises(GenericityError) as excinfo:
-        sample_generic_point(scheme, FIELD, _ZeroGenerator())
-    assert "16" in str(excinfo.value)
+    for k in (1, 5, 40):
+        with pytest.raises(GenericityError) as excinfo:
+            sample_generic_point(scheme, FIELD, _ZeroGenerator(), k)
+        assert str(excinfo.value) == f"failed to sample a point off H1 for {scheme} after 16 retries"
+
+
+class _ScriptedGenerator:
+    """Duck-typed Generator serving fixed rows in order, whatever the draw shape."""
+
+    def __init__(self, rows):
+        self.rows = rows
+        self.drawn = 0
+
+    def integers(self, low, high, size, dtype):
+        k, width = size
+        out = np.array(self.rows[self.drawn : self.drawn + k], dtype=dtype).reshape(k, width)
+        self.drawn += k
+        return out
+
+
+@pytest.mark.parametrize("k, lead", [(1, 0), (3, 0), (3, 1), (3, 2)])
+@pytest.mark.parametrize("on_h1", [15, 16])
+def test_rejection_cap_is_sixteen_draws_in_a_row(k, lead, on_h1):
+    # (1, 1): a draw (z_1, z_2) lies on H1 when both vanish.  ``lead`` points
+    # come before a run of draws on H1 that spans refills of k - lead rows
+    # or fewer; 15 in a row pass and the 16th raises, as retrying each point
+    # up to 16 times did.
+    scheme = AffineSchemeSpec(1, 1, 1, 1, 1)
+    good = [[3, 1], [4, 0], [5, 9]][:k]
+    rows = good[:lead] + [[0, 0]] * on_h1 + good[lead:] + [[2, 6]] * 3
+    rng = _ScriptedGenerator(rows)
+    if on_h1 == 16:
+        with pytest.raises(GenericityError, match="after 16 retries"):
+            sample_generic_point(scheme, FIELD, rng, k)
+        return
+    assert sample_generic_point(scheme, FIELD, rng, k).tolist() == [[1, *row] for row in good]
+    assert rng.drawn == k + on_h1
+
+
+class _CountingGenerator:
+    """A numpy Generator that counts the rows of its ``integers`` draws."""
+
+    def __init__(self, rng):
+        self.rng, self.rows = rng, 0
+
+    def integers(self, low, high, size, dtype):
+        self.rows += size[0]
+        return self.rng.integers(low, high, size=size, dtype=dtype)
+
+
+@pytest.mark.parametrize("n, m", [(1, 1), (2, 1), (1, 2), (3, 1)])
+def test_panel_sampler_matches_point_by_point_oracle(n, m):
+    # At p = 2 a draw lies on H1 with probability 2**-(m + 1), so panels are
+    # often refilled.  The points, and the draw after them, are those of
+    # drawing one point at a time and retrying it on H1.
+    field = PrimeField(2)
+    scheme = AffineSchemeSpec(n, m, 1, 1, 1)
+    refilled = 0
+    for seed in range(150):
+        for k in (1, 3, 8, 32):
+            rng, oracle = _CountingGenerator(np.random.default_rng([seed, k])), np.random.default_rng([seed, k])
+            points = sample_generic_point(scheme, field, rng, k)
+            assert points.tolist() == points_off_h1_one_by_one(n, m, 2, oracle, k), (seed, k)
+            assert rng.rng.integers(0, 2**31, size=4).tolist() == oracle.integers(0, 2**31, size=4).tolist()
+            refilled += rng.rows > k
+    assert refilled > 100
 
 
 def test_reduction_rejects_too_small_prime():
@@ -184,18 +247,18 @@ def test_reduction_matches_determinantal_closed_form():
 
 def test_sampled_points_avoid_special_subspaces():
     scheme = AffineSchemeSpec(2, 2, 1, 1, 1)
-    rng = np.random.default_rng(2)
-    for _ in range(50):
-        point = sample_generic_point(scheme, FIELD, rng)
-        assert point[0] == 1  # never on H2 = {z_0 = ... = z_n = 0}
-        assert np.any(point[scheme.n :])  # never on H1 = {z_n = ... = 0}
+    points = sample_generic_point(scheme, PrimeField(3), np.random.default_rng(2), 200)
+    assert points.shape == (200, 5)
+    assert np.all(points[:, 0] == 1)  # never on H2 = {z_0 = ... = z_n = 0}
+    assert np.all(points[:, scheme.n :].any(axis=1))  # never on H1 = {z_n = ... = 0}
+    assert sample_generic_point(scheme, FIELD, np.random.default_rng(2), 0).shape == (0, 5)
 
 
 def test_condition_matrix_shape_and_duality():
     scheme = AffineSchemeSpec(2, 1, 2, 2, 3, simple_points=2)
     rng = np.random.default_rng(8)
-    doubles = [sample_generic_point(scheme, FIELD, rng) for _ in range(3)]
-    simples = [sample_generic_point(scheme, FIELD, rng) for _ in range(2)]
+    doubles = sample_generic_point(scheme, FIELD, rng, 3)
+    simples = sample_generic_point(scheme, FIELD, rng, 2)
     matrix = condition_matrix(scheme, doubles, simples, FIELD)
     ncols = comb(4, 2) * comb(3, 1)
     assert matrix.entries.shape == (3 * 4 + 2, ncols)

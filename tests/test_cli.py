@@ -1,8 +1,10 @@
 import csv
 import dataclasses
+import functools
 import hashlib
 import io
 import json
+import multiprocessing
 import os
 import subprocess
 import sys
@@ -20,6 +22,7 @@ from segre_secant import (
     expected_dimension,
     invariants,
 )
+from segre_secant import field as field_module
 from segre_secant.cli import CSV_COLUMNS, EXIT_DISCREPANCY, EXIT_OK, EXIT_USAGE, main
 from segre_secant.numerology import ClassificationVerdict
 
@@ -366,14 +369,14 @@ class _SerialPool:
     """Stands in for ProcessPoolExecutor: records its arguments, maps in-process."""
 
     sizes: list = []
-    initializers: list = []
+    options: list = []
     items: list = []
     blas_threads: list = []
 
-    def __init__(self, max_workers, initializer=None):
+    def __init__(self, max_workers, **options):
         self.sizes.append(max_workers)
-        self.initializers.append(initializer)
-        calls = cli._openblas_thread_calls()
+        self.options.append(options)
+        calls = field_module._openblas_thread_calls()
         self.blas_threads.append(None if calls is None else calls[1]())
 
     def __enter__(self):
@@ -390,6 +393,7 @@ class _SerialPool:
 def test_verify_jobs_clamped_to_cells_and_cores(capsys, monkeypatch):
     monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", _SerialPool)
     monkeypatch.setattr(_SerialPool, "sizes", [])
+    monkeypatch.setattr(_SerialPool, "options", [])
     grid = ["verify", "--n-min", "1", "--n-max", "2", "--a-min", "1", "--a-max", "2",
             "--b-min", "1", "--b-max", "1"]  # 4 cells
     _, serial, _ = run(capsys, grid + ["--jobs", "1"])
@@ -401,8 +405,10 @@ def test_verify_jobs_clamped_to_cells_and_cores(capsys, monkeypatch):
     monkeypatch.setattr("segre_secant.cli._available_cores", lambda: 1)
     run(capsys, grid + ["--jobs", "100000"])
     assert _SerialPool.sizes == [3, 4]
-    # every pool worker pins BLAS to one thread as it starts
-    assert _SerialPool.initializers == [cli._pin_blas_threads] * 2
+    # No initializer: the pool forks inside field.one_blas_thread, the one
+    # OpenBLAS control, and a worker started otherwise runs each profile in
+    # its own scope.
+    assert _SerialPool.options == [{}] * 2
 
 
 def _sweep(n_range, a_range, b_range, jobs):
@@ -430,7 +436,7 @@ def test_verify_pool_runs_largest_cells_first_in_grid_order_output(monkeypatch):
 def test_verify_pool_starts_on_one_blas_thread(monkeypatch):
     # Workers forked from a parent on one thread inherit it and make no set
     # call; the caller's own count comes back afterwards.
-    calls = cli._openblas_thread_calls()
+    calls = field_module._openblas_thread_calls()
     if calls is None:
         pytest.skip("no OpenBLAS thread control in this numpy")
     set_threads, get_threads = calls
@@ -457,15 +463,83 @@ def test_verify_pool_matches_serial_payload(monkeypatch):
     assert serial[2] == EXIT_OK and len(serial[0]["cells"]) > 20
 
 
-def test_main_pins_blas_to_one_thread(capsys):
-    calls = cli._openblas_thread_calls()
-    if calls is not None:
-        set_threads, get_threads = calls
-        set_threads(2)
-    code, _, _ = run(capsys, ["numerology", "--n", "1", "--m", "1", "--a", "1", "--b", "1"])
-    assert code == EXIT_OK
-    if calls is not None:
-        assert get_threads() == 1
+@pytest.mark.parametrize("method", multiprocessing.get_all_start_methods())
+def test_verify_pool_matches_serial_payload_under_every_start_method(monkeypatch, method):
+    # Workers that are not forked from the one-thread scope load their own
+    # OpenBLAS, with no initializer; the payload is still the serial one.
+    from concurrent.futures import ProcessPoolExecutor
+
+    grid = ((1, 2), (1, 2), (1, 2))
+    serial = cli.run_verify(_sweep(*grid, 1))
+    context = multiprocessing.get_context(method)
+    monkeypatch.setattr(
+        "concurrent.futures.ProcessPoolExecutor", functools.partial(ProcessPoolExecutor, mp_context=context)
+    )
+    monkeypatch.setattr("segre_secant.cli._available_cores", lambda: 2)
+    assert cli.run_verify(_sweep(*grid, 2)) == serial
+
+
+def test_main_leaves_the_blas_thread_count_to_the_rank_profiles(capsys):
+    # main makes no OpenBLAS call of its own: a closed-form command leaves
+    # the caller's count alone, and dim's profile restores it.
+    calls = field_module._openblas_thread_calls()
+    if calls is None:
+        pytest.skip("no OpenBLAS thread control in this numpy")
+    set_threads, get_threads = calls
+    before = get_threads()
+    set_threads(2)
+    try:
+        assert run(capsys, ["numerology", "--n", "1", "--m", "1", "--a", "1", "--b", "1"])[0] == EXIT_OK
+        assert get_threads() == 2
+        assert run(capsys, ["dim", "--n", "1", "--m", "1", "--a", "1", "--b", "1", "--s", "2"])[0] == EXIT_OK
+        assert get_threads() == 2
+    finally:
+        set_threads(before)
+
+
+def test_numerology_builds_no_embedding_spec(capsys, monkeypatch):
+    # N comes from the closed-form layer, which refuses an n, m, a, b below
+    # 1 with the same text.
+    def refuse(*args):
+        raise AssertionError("numerology built a SegreVeroneseSpec")
+
+    monkeypatch.setattr(cli, "SegreVeroneseSpec", refuse)
+    code, out, _ = run(capsys, ["numerology", "--n", "3", "--m", "2", "--a", "2", "--b", "2"])
+    assert code == EXIT_OK and json.loads(out)["N"] == SegreVeroneseSpec(3, 2, 2, 2).N
+    code, out, err = run(capsys, ["numerology", "--n", "0", "--m", "1", "--a", "2", "--b", "2"])
+    assert (code, out) == (EXIT_USAGE, "")
+    assert err == "segre-secant: error: n, m, a, b must all be >= 1, got (0, 1, 2, 2)\n"
+
+
+def test_closed_stdout_exits_one_without_a_traceback():
+    # Each command writes into a pipe whose read end is closed before it
+    # starts, as `segre-secant ... | head -0` may: exit 1 and one error
+    # line, no BrokenPipeError traceback.
+    commands = [
+        ["dim", "--n", "1", "--m", "1", "--a", "1", "--b", "1", "--s", "1"],
+        ["verify", "--n-max", "1", "--a-max", "1", "--b-max", "1", "--jobs", "1"],
+        ["replay", "--n-max", "6", "--a-max", "8", "--b-max", "6", "--format", "csv"],
+        ["grassmann", "--n-max", "3", "--a-max", "5"],
+        ["numerology", "--n", "2", "--m", "1", "--a", "3", "--b", "1"],
+    ]
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(segre_secant.__file__)))
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        procs = [
+            subprocess.Popen(
+                [sys.executable, "-m", "segre_secant.cli", *argv],
+                stdout=write, stderr=subprocess.PIPE, text=True, env=env,
+            )
+            for argv in commands
+        ]
+    finally:
+        os.close(write)
+    for argv, proc in zip(commands, procs):
+        _, err = proc.communicate(timeout=30)
+        assert (proc.returncode, err) == (
+            EXIT_USAGE, "segre-secant: error: stdout was closed before all output was written\n"
+        ), argv
 
 
 def test_verify_skips_primes_after_a_certified_profile(capsys, monkeypatch):

@@ -35,7 +35,7 @@ FIELD = PrimeField(DEFAULT_PRIME)
 def _points(spec, s, seed=0, field=FIELD):
     rng = trial_rng(spec, seed=seed, trial=0, prime=field.p)
     return [
-        (sample_point(spec.n, field, rng), sample_point(spec.m, field, rng))
+        (sample_point(spec.n, field, rng, 1)[0], sample_point(spec.m, field, rng, 1)[0])
         for _ in range(s)
     ]
 
@@ -271,8 +271,8 @@ def test_early_stop_matches_full_loop(cell, s_max, trials, small_prime, seed):
     alphas, betas = exponent_vectors(a, n + 1), exponent_vectors(b, m + 1)
 
     def tangent_at(rng):
-        x = sample_point(n, field, rng)
-        y = sample_point(m, field, rng)
+        x = sample_point(n, field, rng, 1)[0]
+        y = sample_point(m, field, rng, 1)[0]
         return tangent_block(alphas, betas, x, y, p)
 
     def rng_for(t):
@@ -291,7 +291,7 @@ def test_early_stop_matches_full_loop(cell, s_max, trials, small_prime, seed):
     gammas = split_exponent_array(spec)
 
     def double_point_at(rng):
-        return gradient_rows(gammas, sample_generic_point(scheme, field, rng), p)[1]
+        return gradient_rows(gammas, sample_generic_point(scheme, field, rng, 1)[0], p)[1]
 
     def rng_for(t):
         return trial_rng(spec, seed, t, p, 1)
@@ -400,20 +400,21 @@ def test_early_stop_absorbs_only_needed_blocks(monkeypatch):
 
 @pytest.mark.parametrize("p", [2, 3, 5, 101, DEFAULT_PRIME])
 def test_panel_draws_equal_point_draws(p):
-    # One (k, n + m) draw gives the values of k pairs of sample_point calls
-    # (x then y), and one (k, n) draw those of k calls: bounded int64 draws
-    # below 2**32 take one 32-bit output each, in order.
+    # One sample_point draw of k points of P^(n+m) gives the values of k
+    # pairs of one-point draws of P^n then P^m, and one of k points of P^n
+    # those of k one-point draws: bounded int64 draws below 2**32 take one
+    # 32-bit output each, in order.
     field = PrimeField(p)
     for seed in range(200):
         n, m, k = 1 + seed % 4, 1 + seed % 3, 1 + seed % 7
         rng = np.random.default_rng(seed)
-        pairs = [(sample_point(n, field, rng), sample_point(m, field, rng)) for _ in range(k)]
-        coords = np.random.default_rng(seed).integers(0, p, size=(k, n + m), dtype=np.int64)
-        assert np.array_equal(coords[:, :n], np.array([x[1:] for x, _ in pairs]))
-        assert np.array_equal(coords[:, n:], np.array([y[1:] for _, y in pairs]))
+        pairs = [(sample_point(n, field, rng, 1)[0], sample_point(m, field, rng, 1)[0]) for _ in range(k)]
+        z = sample_point(n + m, field, np.random.default_rng(seed), k)
+        assert np.array_equal(z[:, : n + 1], np.array([x for x, _ in pairs]))
+        assert np.array_equal(z[:, n + 1 :], np.array([y[1:] for _, y in pairs]))
         rng = np.random.default_rng(seed)
-        points = np.array([sample_point(n, field, rng) for _ in range(k)])
-        assert np.array_equal(np.random.default_rng(seed).integers(0, p, size=(k, n), dtype=np.int64), points[:, 1:])
+        points = np.vstack([sample_point(n, field, rng, 1) for _ in range(k)])
+        assert np.array_equal(sample_point(n, field, np.random.default_rng(seed), k), points)
 
 
 def test_tangent_panels_are_drawn_at_sample_point_points(monkeypatch):
@@ -462,7 +463,7 @@ def test_paths_agree_with_rational_rank_and_factor_swap(cell, s, seed):
     tangent = secant_dimension(spec, s, trials=1, field=FIELD, seed=seed).computed_dim
     rng = trial_rng(spec, seed, 0, FIELD.p)
     points = [
-        ([int(v) for v in sample_point(n, FIELD, rng)], [int(v) for v in sample_point(m, FIELD, rng)])
+        (sample_point(n, FIELD, rng, 1)[0].tolist(), sample_point(m, FIELD, rng, 1)[0].tolist())
         for _ in range(s)
     ]
     exact = rational_rank(integer_tangent_matrix(n, m, a, b, points)) - 1
