@@ -42,6 +42,7 @@ from .numerology import (
     invariants,
 )
 from .terracini import (
+    CSV_COLUMNS,
     DEFAULT_MEMORY_BUDGET,
     RNG_DESCRIPTION,
     SCHEMA,
@@ -49,13 +50,7 @@ from .terracini import (
     check_prime_bound,
     dimension_profile,
     secant_dimension,
-)
-
-#: Fixed CSV layout for secant-dimension rows.
-CSV_COLUMNS = (
-    "n", "m", "a", "b", "s", "N",
-    "expected_dim", "computed_dim", "defect",
-    "rule", "prime", "seed", "trials", "method",
+    secant_row,
 )
 
 EXIT_OK = 0
@@ -94,6 +89,9 @@ class SweepConfig:
             raise ValueError(f"--jobs must be >= 1, got {self.jobs}")
         if not self.primes:
             raise ValueError("need at least one prime")
+        for i, p in enumerate(self.primes):
+            if p in self.primes[:i]:
+                raise ValueError(f"--primes names {p} more than once")
         if self.s_policy not in ("uptoqstar", "list"):
             raise ValueError(f"s_policy must be 'uptoqstar' or 'list', got {self.s_policy!r}")
         if self.s_policy == "list" and not self.s_list:
@@ -129,9 +127,9 @@ def _parse_int_list(text: str, flag: str) -> tuple[int, ...]:
 
 
 def _emit(fmt: str, payload: dict, rows, columns) -> None:
-    """Prints the JSON payload, or the rows as CSV under a header of columns."""
+    """Prints the JSON payload on one line, or the rows as CSV under a header of columns."""
     if fmt == "json":
-        print(json.dumps(payload, indent=2))
+        print(json.dumps(payload, separators=(",", ":")))
     else:
         import csv
 
@@ -140,14 +138,6 @@ def _emit(fmt: str, payload: dict, rows, columns) -> None:
         for row in rows:
             writer.writerow([row.get(col, "") for col in columns])
     sys.stdout.flush()  # a closed stdout raises here, before any diagnostic
-
-
-def _report_row(report, rule: str) -> dict:
-    d = report.to_dict()
-    d.pop("schema", None)
-    d.pop("rng", None)
-    d["rule"] = rule
-    return d
 
 
 # ---------------------------------------------------------------------------
@@ -161,24 +151,21 @@ def cmd_dim(args) -> int:
         spec, args.s, trials=args.trials, field=field, seed=seed,
         memory_budget=args.memory_budget,
     )
-    rule = ""
-    payload = report.to_dict()
+    verdict = classify(args.n, args.a, args.b, args.s) if args.m == 1 else None
+    rows = [report.to_dict("" if verdict is None else verdict.rule)]
+    payload = {"schema": SCHEMA, "rng": RNG_DESCRIPTION, **rows[0]}
     agreements = []
-    if args.m == 1:
-        verdict = classify(args.n, args.a, args.b, args.s)
-        rule = verdict.rule
+    if verdict is not None:
         payload["classification"] = verdict._asdict()
         agreements.append(report.computed_dim == verdict.dim)
-    rows = [_report_row(report, rule)]
     if args.cross_check:
         reduction = secant_dimension_via_reduction(
             spec, args.s, trials=args.trials, field=field, seed=seed,
             memory_budget=args.memory_budget,
         )
-        payload["cross_check"] = reduction.to_dict()
-        payload["cross_check"].pop("schema", None)
+        payload["cross_check"] = reduction.to_dict(payload["rule"])
+        rows.append(payload["cross_check"])
         agreements.append(reduction.computed_dim == report.computed_dim)
-        rows.append(_report_row(reduction, rule))
     agree = all(agreements)
     payload["agreement"] = agree
     _emit(args.format, payload, rows, CSV_COLUMNS)
@@ -233,26 +220,20 @@ def _verify_cell(job) -> dict:
                 # sized by s_max before they pass.
                 bound = _expected_dimensions(n, m, a, b, s_max)
         rows = []
+        N = spec.N
         for s in range(1, s_max + 1) if s_policy == "uptoqstar" else s_list:
             # classify refuses an s below 1 before it can index a profile.
             verdict = classify(n, a, b, s)
             per_prime = [int(profile[s - 1]) for profile in profiles]
             computed = max(per_prime)
             prime = primes[per_prime.index(computed)]
-            expected = expected_dimension(n, m, a, b, s)
-            rows.append({
-                "n": n, "m": m, "a": a, "b": b, "s": s, "N": spec.N,
-                "expected_dim": expected,
-                "computed_dim": computed,
-                "defect": expected - computed,
-                "rule": verdict.rule,
-                "prime": prime,
-                "seed": seed,
-                "trials": trials,
-                "method": "terracini",
-                "classify_dim": verdict.dim,
-                "agree": computed == verdict.dim,
-            })
+            row = secant_row(
+                n, m, a, b, s, N, expected_dimension(n, m, a, b, s), computed,
+                verdict.rule, prime, seed, trials, "terracini",
+            )
+            row["classify_dim"] = verdict.dim
+            row["agree"] = computed == verdict.dim
+            rows.append(row)
         return {"cell": (n, m, a, b), "rows": rows}
     except (ValueError, SizingError, GenericityError) as exc:
         return {"cell": (n, m, a, b), "error": str(exc)}
@@ -313,8 +294,7 @@ def run_verify(config: SweepConfig) -> tuple[dict, list[dict], int]:
         else:
             rows.extend(result["rows"])
     agreements = sum(1 for row in rows if row["agree"])
-    disagreements = len(rows) - agreements
-    discrepancies = disagreements + len(errors)
+    discrepancies = len(rows) - agreements
     payload = {
         "schema": SCHEMA,
         "rng": RNG_DESCRIPTION,
@@ -329,14 +309,10 @@ def run_verify(config: SweepConfig) -> tuple[dict, list[dict], int]:
             "cells": len(rows),
             "agreements": agreements,
             "discrepancies": discrepancies,
+            "errors": len(errors),
         },
     }
-    if disagreements:
-        exit_code = EXIT_DISCREPANCY
-    elif errors:
-        exit_code = EXIT_USAGE
-    else:
-        exit_code = EXIT_OK
+    exit_code = EXIT_DISCREPANCY if discrepancies else EXIT_USAGE if errors else EXIT_OK
     return payload, rows, exit_code
 
 
@@ -363,8 +339,8 @@ def cmd_verify(args) -> int:
     _emit(args.format, payload, rows, CSV_COLUMNS)
     summary = payload["summary"]
     print(
-        f"cells / agreements / discrepancies: "
-        f"{summary['cells']} / {summary['agreements']} / {summary['discrepancies']}",
+        f"cells / agreements / discrepancies / errors: {summary['cells']} / "
+        f"{summary['agreements']} / {summary['discrepancies']} / {summary['errors']}",
         file=sys.stderr,
     )
     for error in payload["errors"]:
@@ -427,11 +403,16 @@ def cmd_grassmann(args) -> int:
 # numerology
 
 def cmd_numerology(args) -> int:
-    num = invariants(args.n, args.m, args.a, args.b)
+    cell = (args.n, args.m, args.a, args.b)
+    N = _ambient(*cell) - 1
+    # N is the largest number printed; past the digit limit str() would raise.
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit and N >= 10**limit:
+        raise ValueError(f"N of (n, m, a, b) = {cell} has more than {limit} digits, the limit for printing an integer")
     payload = {
         "schema": SCHEMA,
         "n": args.n, "m": args.m, "a": args.a, "b": args.b,
-        "N": _ambient(args.n, args.m, args.a, args.b) - 1, **num._asdict(),
+        "N": N, **invariants(*cell)._asdict(),
     }
     if args.m == 1:
         payload["e"] = closed_form_e(args.n, args.a, args.b)
@@ -468,6 +449,13 @@ def build_parser():
         def error(self, message):
             self.print_usage(sys.stderr)
             self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
+
+        def print_help(self, file=None):
+            # argparse drops a failed write; flushing here lets a closed
+            # stdout reach main's handler, as it does for the subcommands.
+            file = file or sys.stdout
+            file.write(self.format_help())
+            file.flush()
 
     parser = _Parser(prog="segre-secant",
                      description="Secant dimensions of Segre-Veronese embeddings "
@@ -539,8 +527,8 @@ def build_parser():
 
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = parser.parse_args(argv)
         return args.func(args)
     except BrokenPipeError:
         # Python's "Note on SIGPIPE": devnull takes stdout for the exit flush.

@@ -36,7 +36,7 @@ come from the closed-form layer (``numerology``).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -56,21 +56,19 @@ from .numerology import _ambient, expected_dimension
 #: Largest number of matrix entries a single dimension query may allocate.
 DEFAULT_MEMORY_BUDGET = 2**25
 
-#: Recorded in every report so runs are reproducible across machines.  The
-#: method_id 2 clause names a retired stream; it changes only with the
-#: segre-secant/2 schema bump, since dim and verify print this text.
+#: Printed once in every dim and verify payload so runs are reproducible
+#: across machines.
 RNG_DESCRIPTION = (
     "numpy PCG64; stream per trial from SeedSequence(seed, "
     "spawn_key=(n, m, a, b, trial, prime, method_id)) with method_id 0 for "
-    "tangent sampling, 1 for the affine reduction, and 2 for the plain "
-    "Veronese path (which uses m = b = 0 in the key); each block draws the "
+    "tangent sampling and 1 for the affine reduction; each block draws the "
     "x point then the y point, leading coordinate 1, others uniform in [0, p)"
 )
 
 _METHOD_TANGENT = 0
 
 #: Schema tag of every JSON report.
-SCHEMA = "segre-secant/1"
+SCHEMA = "segre-secant/2"
 
 #: Allowed provenance tags for a SecantReport.
 METHODS = ("terracini", "affine-reduction")
@@ -103,6 +101,23 @@ class SegreVeroneseSpec:
         return SegreVeroneseSpec(self.m, self.n, self.b, self.a)
 
 
+def secant_row(n, m, a, b, s, N, expected_dim, computed_dim, rule, prime, seed, trials, method) -> dict:
+    """One row of the secant-dimension table that dim and verify print.
+
+    The one list of a row's keys; ``rule`` is empty where no closed form applies (m != 1).
+    """
+    return {
+        "n": n, "m": m, "a": a, "b": b, "s": s, "N": N,
+        "expected_dim": expected_dim, "computed_dim": computed_dim,
+        "defect": expected_dim - computed_dim, "rule": rule,
+        "prime": prime, "seed": seed, "trials": trials, "method": method,
+    }
+
+
+#: The CSV header of dim and verify: the keys of ``secant_row``, in order.
+CSV_COLUMNS = tuple(secant_row(*(0,) * 13))
+
+
 @dataclass
 class SecantReport:
     """One dimension measurement with everything needed to reproduce it."""
@@ -116,7 +131,6 @@ class SecantReport:
     seed: int
     trials: int
     method: str
-    rng: str = RNG_DESCRIPTION
 
     def __post_init__(self) -> None:
         if self.computed_dim > self.expected_dim:
@@ -128,13 +142,13 @@ class SecantReport:
         if self.method not in METHODS:
             raise ValueError(f"unknown method tag {self.method!r}")
 
-    def to_dict(self) -> dict:
-        d = {"schema": SCHEMA}
-        d.update(asdict(self.spec))
-        d["N"] = self.spec.N
-        for key in ("s", "expected_dim", "computed_dim", "defect", "prime", "seed", "trials", "method", "rng"):
-            d[key] = getattr(self, key)
-        return d
+    def to_dict(self, rule: str = "") -> dict:
+        """The report as a ``secant_row``, with the closed-form verdict's rule."""
+        spec = self.spec
+        return secant_row(
+            spec.n, spec.m, spec.a, spec.b, self.s, spec.N, self.expected_dim, self.computed_dim,
+            rule, self.prime, self.seed, self.trials, self.method,
+        )
 
     @classmethod
     def measured(
@@ -146,19 +160,9 @@ class SecantReport:
 
     @classmethod
     def from_dict(cls, d: dict) -> "SecantReport":
+        """The report a ``secant_row`` (or a dim payload) was printed from."""
         spec = SegreVeroneseSpec(d["n"], d["m"], d["a"], d["b"])
-        return cls(
-            spec=spec,
-            s=d["s"],
-            expected_dim=d["expected_dim"],
-            computed_dim=d["computed_dim"],
-            defect=d["defect"],
-            prime=d["prime"],
-            seed=d["seed"],
-            trials=d["trials"],
-            method=d["method"],
-            rng=d.get("rng", RNG_DESCRIPTION),
-        )
+        return cls(spec, *(d[f.name] for f in fields(cls)[1:]))
 
 
 def trial_rng(

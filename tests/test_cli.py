@@ -53,7 +53,8 @@ def test_dim_sporadic_case_json(capsys):
     code, out, _ = run(capsys, ["dim", "--n", "2", "--m", "1", "--a", "3", "--b", "1", "--s", "5"])
     assert code == EXIT_OK
     payload = json.loads(out)
-    assert payload["schema"] == "segre-secant/1"
+    assert payload["schema"] == "segre-secant/2"
+    assert payload["rule"] == "main-theorem"
     assert payload["expected_dim"] == 19
     assert payload["computed_dim"] == 18
     assert payload["defect"] == 1
@@ -80,6 +81,27 @@ def test_dim_cross_check_agreement(capsys):
     assert payload["computed_dim"] == 23
     assert payload["cross_check"]["computed_dim"] == 23
     assert payload["cross_check"]["method"] == "affine-reduction"
+
+
+def test_dim_and_verify_print_one_row_layout(capsys):
+    # Every secant row, in dim's payload, its cross_check and verify's
+    # cells, has the CSV columns as its keys in order; verify adds only
+    # classify_dim and agree, and schema and rng appear once per payload.
+    assert CSV_COLUMNS == (
+        "n", "m", "a", "b", "s", "N", "expected_dim", "computed_dim", "defect",
+        "rule", "prime", "seed", "trials", "method",
+    )
+    _, out, _ = run(capsys, ["dim", "--n", "2", "--m", "1", "--a", "2", "--b", "2", "--s", "4", "--cross-check"])
+    assert out.count("\n") == 1 and out.count("segre-secant/2") == 1 and out.count('"rng"') == 1
+    payload = json.loads(out)
+    assert tuple(payload)[:2] == ("schema", "rng")
+    assert tuple(payload)[2:-3] == CSV_COLUMNS
+    assert tuple(payload["cross_check"]) == CSV_COLUMNS
+    assert payload["cross_check"]["rule"] == payload["rule"] == "abrescia-2b"
+    _, out, _ = run(capsys, ["verify", "--n-max", "1", "--a-max", "2", "--b-max", "1", "--jobs", "1"])
+    assert out.count("\n") == 1 and out.count("segre-secant/2") == 1 and out.count('"rng"') == 1
+    for row in json.loads(out)["cells"]:
+        assert tuple(row) == CSV_COLUMNS + ("classify_dim", "agree")
 
 
 def test_dim_csv_columns(capsys):
@@ -200,7 +222,7 @@ def test_verify_small_grid_csv(capsys):
     records = [dict(zip(rows[0], row)) for row in rows[1:]]
     defective = sorted(int(r["s"]) for r in records if int(r["defect"]) > 0)
     assert defective == [4, 5]  # the d = 1 window for n = 2
-    assert "cells / agreements / discrepancies: 6 / 6 / 0" in err
+    assert err == "cells / agreements / discrepancies / errors: 6 / 6 / 0 / 0\n"
 
 
 def test_verify_window_cells_json(capsys):
@@ -254,7 +276,8 @@ def test_verify_discrepancy_exit_code(capsys, monkeypatch):
          "--b-min", "1", "--b-max", "1", "--jobs", "1"],
     )
     assert code == EXIT_DISCREPANCY
-    assert json.loads(out)["summary"]["discrepancies"] > 0
+    summary = json.loads(out)["summary"]
+    assert summary["discrepancies"] > 0 and summary["errors"] == 0
 
 
 def test_huge_s_is_refused_before_sampling(capsys):
@@ -270,7 +293,7 @@ def test_huge_s_is_refused_before_sampling(capsys):
 
 def test_verify_cell_error_exits_one(capsys):
     # A sizing error inside a cell is a usage error, as for dim, not a
-    # mathematical discrepancy; the payload still counts it.
+    # mathematical discrepancy; the payload counts it as an error.
     code, out, err = run(
         capsys,
         ["verify", "--n-min", "1", "--n-max", "1", "--a-min", "1", "--a-max", "1",
@@ -279,7 +302,7 @@ def test_verify_cell_error_exits_one(capsys):
     assert code == EXIT_USAGE
     payload = json.loads(out)
     assert payload["cells"] == []
-    assert payload["summary"]["discrepancies"] == 1
+    assert payload["summary"] == {"cells": 0, "agreements": 0, "discrepancies": 0, "errors": 1}
     assert "budget is 10" in payload["errors"][0]["error"]
     assert "cell (1, 1, 1, 1): " in err
 
@@ -298,7 +321,7 @@ def test_verify_refuses_a_huge_s_list_before_sizing_the_cell():
     )
     assert proc.returncode == EXIT_USAGE, proc.stderr
     assert fresh_json(proc)["errors"] == [{"cell": [1, 1, 1, 1], "error": message}]
-    assert proc.stderr == f"cells / agreements / discrepancies: 0 / 0 / 1\ncell (1, 1, 1, 1): {message}\n"
+    assert proc.stderr == f"cells / agreements / discrepancies / errors: 0 / 0 / 0 / 1\ncell (1, 1, 1, 1): {message}\n"
     with pytest.raises(SizingError) as excinfo:
         dimension_profile(SegreVeroneseSpec(1, 1, 1, 1), 100000000)
     assert str(excinfo.value) == message
@@ -313,7 +336,7 @@ def test_verify_s_list_of_a_million_builds_its_bound_at_once():
     assert proc.returncode == EXIT_OK, proc.stderr
     (row,) = fresh_json(proc)["cells"]
     assert (row["s"], row["expected_dim"], row["computed_dim"], row["prime"]) == (1000000, 3, 3, 2147483647)
-    assert proc.stderr == "cells / agreements / discrepancies: 1 / 1 / 0\n"
+    assert proc.stderr == "cells / agreements / discrepancies / errors: 1 / 1 / 0 / 0\n"
 
 
 @pytest.mark.parametrize("s_list, s", [("0", 0), ("-1,2", -1), ("-3,2", -3)])
@@ -326,7 +349,7 @@ def test_verify_refuses_an_s_list_entry_below_one(capsys, s_list, s):
     message = f"s must be >= 1, got {s}"
     assert code == EXIT_USAGE
     assert json.loads(out)["errors"] == [{"cell": [1, 1, 1, 1], "error": message}]
-    assert err == f"cells / agreements / discrepancies: 0 / 0 / 1\ncell (1, 1, 1, 1): {message}\n"
+    assert err == f"cells / agreements / discrepancies / errors: 0 / 0 / 0 / 1\ncell (1, 1, 1, 1): {message}\n"
 
 
 def test_expected_dimensions_match_expected_dimension():
@@ -356,6 +379,17 @@ def test_verify_jobs_defaults_to_the_available_cores(monkeypatch):
     # The affinity mask the pool's clamp reads, not the machine's core count.
     monkeypatch.setattr("segre_secant.cli._available_cores", lambda: 3)
     assert cli.build_parser().parse_args(["verify"]).jobs == 3
+
+
+@pytest.mark.parametrize("primes", ["2147483647,2147483647", "101,103,101"])
+def test_verify_refuses_a_repeated_prime(capsys, primes):
+    # A repeated prime would run the same streams again on a defective cell.
+    repeated = primes.split(",")[0]
+    code, out, err = run(capsys, ["verify", "--primes", primes, "--n-max", "1", "--a-max", "1", "--b-max", "1"])
+    assert (code, out) == (EXIT_USAGE, "")
+    assert err == f"segre-secant: error: --primes names {repeated} more than once\n"
+    with pytest.raises(ValueError, match=f"^--primes names {repeated} more than once$"):
+        dataclasses.replace(_sweep((1,), (1,), (1,), 1), primes=tuple(int(p) for p in primes.split(",")))
 
 
 @pytest.mark.parametrize("policy", ["upto-qstar", "", "LIST"])
@@ -521,6 +555,8 @@ def test_closed_stdout_exits_one_without_a_traceback():
         ["replay", "--n-max", "6", "--a-max", "8", "--b-max", "6", "--format", "csv"],
         ["grassmann", "--n-max", "3", "--a-max", "5"],
         ["numerology", "--n", "2", "--m", "1", "--a", "3", "--b", "1"],
+        ["--help"],
+        ["verify", "--help"],
     ]
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(segre_secant.__file__)))
     read, write = os.pipe()
@@ -582,31 +618,31 @@ def test_dim_discrepancy_exit_code(capsys, monkeypatch):
 PINNED_STDOUT = {
     # The full default grid: the largest cells the kernel meets.
     ("verify", "--jobs", "1"):
-        "43e4da61c732b35acd19a171c67f6cab969dc6b7a21fa472df6a06f60f64dbdc",
+        "98fe0613d957dbe9de0d0789811dd5cbadd9981a3efe38c48d27f8041d9c0f0f",
     ("verify", "--jobs", "1", "--n-max", "2", "--a-max", "3", "--b-max", "3"):
-        "7a1d032747686aed315b053e9ab42d867ad1023826c93a7792d2143d1c5f7aae",
+        "7fd5ec4ec10c5adc5358700aa35b53412c5dc66a16dcf83f5b961ac224c4cea5",
     ("verify", "--jobs", "1", "--n-max", "2", "--a-max", "3", "--b-max", "3", "--format", "csv"):
         "b0f828843421fee814dd4a103dd3604b100fe18cf51325d5c6ab1f0611c226d1",
     ("dim", "--n", "3", "--m", "1", "--a", "2", "--b", "2", "--s", "5", "--cross-check"):
-        "825db0397a47d2179c2c649cc588d47e0b66c60cf4194a0f49d5af80ed2d4535",
+        "f73db2cd72848eaa2d185b1f56ce717d67f9944cf8e7189a5830b6ad0519c430",
     ("dim", "--n", "2", "--m", "2", "--a", "2", "--b", "3", "--s", "6", "--cross-check"):
-        "7150fcde553fb8dd42ec198d449b9179b93599ca39573d1deb9a14e16e56bf0c",
+        "436e95c72acd82a056ce253964917acfa1395ac35e75c1c0f036adaf5e3d61de",
     ("replay", "--n-max", "6", "--a-max", "8", "--b-max", "6"):
-        "fa155a0ad5589ef36012c1796b9fd2d71efac81c121c2ff07e88c2014f97066b",
+        "a3f22be45a86fcf3bf7d6a72da6381e746f34020d99eff989d2f630799175437",
     ("grassmann", "--n-max", "3", "--a-max", "5"):
-        "4e708a44fbb5991f26c340e1cf73b7d010f9bd0076a031bc2471f21c1a639d4b",
+        "efa41cc2bb8febb942ddd434fd347cb4e20d38b573731589890d0ff5cb3d507c",
     # The inputs of the benchmark's certificates workload.
     ("grassmann", "--n-max", "5", "--a-max", "6"):
-        "6085a5f20e90a42d51855eb45320b109d060c067a3a167e1bbef67d573965d4b",
+        "670d9bb41d336f41d8b3143a3a8463d4f26be6504ef32c61fe69e4d32a8b23b5",
     ("replay", "--n-max", "8", "--a-max", "10", "--b-max", "8"):
-        "fcc5cbae0825f5905009a2eca0bc301feecf7172c278ea6dd11a05483f8b6f5e",
+        "d3cf2eb556edd69d81449ddd3a9f37843763065a96c52843efdcc01d4af3760f",
     # The CSV and numerology outputs, whose rows are the library's records.
     ("replay", "--n-max", "8", "--a-max", "10", "--b-max", "8", "--format", "csv"):
         "0f61d4405310b77cddcd9a7d86ce05ab4060ed76d0877fae04e7897287d2f9da",
     ("grassmann", "--n-max", "5", "--a-max", "6", "--format", "csv"):
         "228cd77c1790ac9fb2305561e588d51bb8fb324fa036a9e9ba6b8d745f2785e0",
     ("numerology", "--n", "2", "--m", "1", "--a", "3", "--b", "1"):
-        "c7774ae1cc4c530731b705aa624e032bb8f3ea2bcf31bff72cd6792c13f88c9a",
+        "5d8fcc5fb6f7d7739f7978a73c442844c8a620cfd52926df158e4e34d2024bfa",
     ("numerology", "--n", "2", "--m", "1", "--a", "3", "--b", "1", "--format", "csv"):
         "d8265c410f138dde0f82780e66bd76dd319bc6fbb61a6f9af6787aecdb1a95b8",
     ("numerology", "--n", "3", "--m", "2", "--a", "2", "--b", "2", "--format", "csv"):
@@ -706,6 +742,22 @@ def test_numerology_cli(capsys):
     assert code == EXIT_OK
     rows = list(csv.reader(io.StringIO(out)))
     assert "e" not in rows[0]  # no closed form away from m = 1
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_numerology_names_the_input_past_the_digit_limit(capsys, fmt):
+    # N = C(200000, 100000) * 2 - 1 has about 60000 digits, past the
+    # interpreter's limit for printing an integer (4300 by default).
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if not limit:
+        pytest.skip("this interpreter prints integers of any length")
+    argv = ["numerology", "--n", "100000", "--m", "1", "--a", "100000", "--b", "1", "--format", fmt]
+    code, out, err = run(capsys, argv)
+    assert (code, out) == (EXIT_USAGE, "")
+    assert err == (
+        f"segre-secant: error: N of (n, m, a, b) = (100000, 1, 100000, 1) has more than {limit} digits, "
+        "the limit for printing an integer\n"
+    )
 
 
 def test_numerology_answers_any_size():
