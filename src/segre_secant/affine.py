@@ -183,4 +183,4 @@ def secant_dimension_via_reduction(
         lambda trial: trial_rng(spec, seed, trial, field.p, _METHOD_AFFINE),
         panel_at,
     )
-    return SecantReport.measured(spec, s, int(ranks[-1]) - 1, field, seed, trials, "affine-reduction")
+    return SecantReport.measured(spec, s, int(ranks[-1]) - 1, field.p, seed, trials, "affine-reduction")

@@ -22,7 +22,10 @@ of --jobs.
 
 from __future__ import annotations
 
+import functools
+import itertools
 import json
+import math
 import os
 import sys
 from dataclasses import asdict, dataclass
@@ -35,6 +38,7 @@ from .grassmann import CorollaryCell, check_corollary
 from .induction import ReplayCell, replay_main_theorem
 from .numerology import (
     _ambient,
+    check_sweep_size,
     classify,
     closed_form_e,
     closed_form_estar,
@@ -46,11 +50,11 @@ from .terracini import (
     DEFAULT_MEMORY_BUDGET,
     RNG_DESCRIPTION,
     SCHEMA,
+    SecantReport,
     SegreVeroneseSpec,
     check_prime_bound,
     dimension_profile,
     secant_dimension,
-    secant_row,
 )
 
 EXIT_OK = 0
@@ -89,17 +93,25 @@ class SweepConfig:
             raise ValueError(f"--jobs must be >= 1, got {self.jobs}")
         if not self.primes:
             raise ValueError("need at least one prime")
-        for i, p in enumerate(self.primes):
-            if p in self.primes[:i]:
-                raise ValueError(f"--primes names {p} more than once")
+        _refuse_repeats("--primes", self.primes)
         if self.s_policy not in ("uptoqstar", "list"):
             raise ValueError(f"s_policy must be 'uptoqstar' or 'list', got {self.s_policy!r}")
         if self.s_policy == "list" and not self.s_list:
             raise ValueError("explicit s policy needs a nonempty --s-list")
         if self.s_policy != "list" and self.s_list:
             raise ValueError("--s-list is read only with --s-policy list")
+        _refuse_repeats("--s-list", self.s_list)
         if tuple(self.m_range) != (1,):
             raise ValueError("classification comparison requires m = 1")
+
+
+def _refuse_repeats(flag: str, values) -> None:
+    """Refuses a list that names a value twice: it would run the same work again."""
+    seen = set()
+    for value in values:
+        if value in seen:
+            raise ValueError(f"{flag} names {value} more than once")
+        seen.add(value)
 
 
 def _resolve_seed(args) -> int:
@@ -151,11 +163,11 @@ def cmd_dim(args) -> int:
         spec, args.s, trials=args.trials, field=field, seed=seed,
         memory_budget=args.memory_budget,
     )
-    verdict = classify(args.n, args.a, args.b, args.s) if args.m == 1 else None
-    rows = [report.to_dict("" if verdict is None else verdict.rule)]
+    rows = [report._asdict()]
     payload = {"schema": SCHEMA, "rng": RNG_DESCRIPTION, **rows[0]}
     agreements = []
-    if verdict is not None:
+    if args.m == 1:
+        verdict = classify(args.n, args.a, args.b, args.s)
         payload["classification"] = verdict._asdict()
         agreements.append(report.computed_dim == verdict.dim)
     if args.cross_check:
@@ -163,7 +175,7 @@ def cmd_dim(args) -> int:
             spec, args.s, trials=args.trials, field=field, seed=seed,
             memory_budget=args.memory_budget,
         )
-        payload["cross_check"] = reduction.to_dict(payload["rule"])
+        payload["cross_check"] = reduction._asdict()
         rows.append(payload["cross_check"])
         agreements.append(reduction.computed_dim == report.computed_dim)
     agree = all(agreements)
@@ -189,20 +201,19 @@ def _expected_dimensions(n: int, m: int, a: int, b: int, s_max: int) -> np.ndarr
     return np.minimum(np.arange(1, s_max + 1, dtype=np.int64) * (n + m + 1) - 1, cap)
 
 
-def _s_max(job) -> int:
+def _s_max(config: SweepConfig, cell) -> int:
     """The largest s of a verify cell: q* + 1, or the largest listed s."""
-    n, m, a, b, s_policy, s_list = job[:6]
-    return invariants(n, m, a, b).qstar + 1 if s_policy == "uptoqstar" else max(s_list)
+    return invariants(*cell).qstar + 1 if config.s_policy == "uptoqstar" else max(config.s_list)
 
 
-def _verify_cell(job) -> dict:
-    """Worker for one (n, m, a, b) cell; returns rows or an error record."""
-    (n, m, a, b, s_policy, s_list, trials, primes, seed, memory_budget) = job
+def _verify_cell(config: SweepConfig, cell) -> tuple[list[dict], str | None]:
+    """Worker for one (n, m, a, b) cell: its rows and no error, or no rows and the error."""
+    n, m, a, b = cell
     try:
         spec = SegreVeroneseSpec(n, m, a, b)
-        s_max = _s_max(job)
+        s_max = _s_max(config, cell)
         profiles, bound = [], None
-        for p in primes:
+        for p in config.primes:
             field = PrimeField(p)
             if bound is not None and np.array_equal(profiles[-1], bound):
                 # No prime can exceed the bound, so the max and the first
@@ -211,8 +222,8 @@ def _verify_cell(job) -> dict:
                 check_prime_bound(spec, s_max, p)
                 continue
             profiles.append(dimension_profile(
-                spec, s_max, trials=trials, field=field, seed=seed,
-                memory_budget=memory_budget,
+                spec, s_max, trials=config.trials, field=field, seed=config.seed,
+                memory_budget=config.memory_budget,
             ))
             if bound is None:
                 # The first profile has made the cell's size checks (the
@@ -220,35 +231,30 @@ def _verify_cell(job) -> dict:
                 # sized by s_max before they pass.
                 bound = _expected_dimensions(n, m, a, b, s_max)
         rows = []
-        N = spec.N
-        for s in range(1, s_max + 1) if s_policy == "uptoqstar" else s_list:
+        for s in range(1, s_max + 1) if config.s_policy == "uptoqstar" else config.s_list:
             # classify refuses an s below 1 before it can index a profile.
             verdict = classify(n, a, b, s)
             per_prime = [int(profile[s - 1]) for profile in profiles]
             computed = max(per_prime)
-            prime = primes[per_prime.index(computed)]
-            row = secant_row(
-                n, m, a, b, s, N, expected_dimension(n, m, a, b, s), computed,
-                verdict.rule, prime, seed, trials, "terracini",
+            report = SecantReport.measured(
+                spec, s, computed, config.primes[per_prime.index(computed)], config.seed, config.trials, "terracini"
             )
-            row["classify_dim"] = verdict.dim
-            row["agree"] = computed == verdict.dim
-            rows.append(row)
-        return {"cell": (n, m, a, b), "rows": rows}
+            rows.append(dict(report._asdict(), classify_dim=verdict.dim, agree=computed == verdict.dim))
+        return rows, None
     except (ValueError, SizingError, GenericityError) as exc:
-        return {"cell": (n, m, a, b), "error": str(exc)}
+        return [], str(exc)
 
 
-def _cell_cost(job) -> int:
+def _cell_cost(config: SweepConfig, cell) -> int:
     """ncols**2 * s_max, the scale of a verify cell's elimination work.
 
     0 for a cell that ``_verify_cell`` refuses before any work.
     """
     try:
-        s_max = _s_max(job)
+        s_max = _s_max(config, cell)
     except ValueError:
         return 0
-    return (SegreVeroneseSpec(*job[:4]).N + 1) ** 2 * s_max
+    return (SegreVeroneseSpec(*cell).N + 1) ** 2 * s_max
 
 
 def _available_cores() -> int:
@@ -259,17 +265,11 @@ def _available_cores() -> int:
 
 def run_verify(config: SweepConfig) -> tuple[dict, list[dict], int]:
     """Execute the sweep; returns (payload, csv rows, exit code)."""
-    jobs = [
-        (n, m, a, b, config.s_policy, config.s_list, config.trials,
-         config.primes, config.seed, config.memory_budget)
-        for n in config.n_range
-        for m in config.m_range
-        for a in config.a_range
-        for b in config.b_range
-    ]
+    cells = list(itertools.product(config.n_range, config.m_range, config.a_range, config.b_range))
+    verify_cell = functools.partial(_verify_cell, config)
     # A forking pool starts all its workers at once, so more than there are
     # cells or cores would only cost processes.
-    workers = min(config.jobs, len(jobs), _available_cores())
+    workers = min(config.jobs, len(cells), _available_cores())
     if workers > 1:
         # Largest cells first, so none is left to run alone at the end;
         # results go back into grid order.  The pool forks inside the
@@ -279,20 +279,18 @@ def run_verify(config: SweepConfig) -> tuple[dict, list[dict], int]:
         # subprocess, which a serial run never uses.
         from concurrent.futures import ProcessPoolExecutor
 
-        order = sorted(range(len(jobs)), key=lambda i: _cell_cost(jobs[i]), reverse=True)
-        results = [None] * len(jobs)
+        by_cost = sorted(cells, key=functools.partial(_cell_cost, config), reverse=True)
         with one_blas_thread(), ProcessPoolExecutor(max_workers=workers) as pool:
-            for i, result in zip(order, pool.map(_verify_cell, [jobs[i] for i in order])):
-                results[i] = result
+            done = dict(zip(by_cost, pool.map(verify_cell, by_cost)))
+        results = [done[cell] for cell in cells]
     else:
-        results = [_verify_cell(job) for job in jobs]
+        results = map(verify_cell, cells)
     rows: list[dict] = []
     errors: list[dict] = []
-    for result in results:
-        if "error" in result:
-            errors.append({"cell": list(result["cell"]), "error": result["error"]})
-        else:
-            rows.extend(result["rows"])
+    for cell, (cell_rows, error) in zip(cells, results):
+        rows.extend(cell_rows)
+        if error is not None:
+            errors.append({"cell": list(cell), "error": error})
     agreements = sum(1 for row in rows if row["agree"])
     discrepancies = len(rows) - agreements
     payload = {
@@ -321,11 +319,22 @@ def cmd_verify(args) -> int:
     primes = _parse_int_list(args.primes, "--primes")
     if not primes:
         raise ValueError("--primes must name at least one prime")
+    # The cells are counted from the bounds, so a huge bound is refused
+    # before any range is built; an empty axis empties the grid, which
+    # SweepConfig refuses, and no other axis is built then.
+    bounds = ((args.n_min, args.n_max), (args.a_min, args.a_max), (args.b_min, args.b_max))
+    cells = math.prod(max(0, hi - lo + 1) for lo, hi in bounds)
+    check_sweep_size(
+        f"the verify grid from (n, a, b) = ({args.n_min}, {args.a_min}, {args.b_min}) "
+        f"to ({args.n_max}, {args.a_max}, {args.b_max})",
+        [cells],
+    )
+    n_range, a_range, b_range = (tuple(range(lo, hi + 1)) if cells else () for lo, hi in bounds)
     config = SweepConfig(
-        n_range=tuple(range(args.n_min, args.n_max + 1)),
+        n_range=n_range,
         m_range=(args.m,),
-        a_range=tuple(range(args.a_min, args.a_max + 1)),
-        b_range=tuple(range(args.b_min, args.b_max + 1)),
+        a_range=a_range,
+        b_range=b_range,
         s_policy=args.s_policy,
         s_list=s_list,
         trials=args.trials,

@@ -110,10 +110,6 @@ class PrimeField:
         if not is_prime(self.p):
             raise ValueError(f"modulus {self.p} is not prime")
 
-    def inverse(self, x: int) -> int:
-        """Multiplicative inverse of x mod p (extended Euclid via pow)."""
-        return pow(int(x) % self.p, -1, self.p)
-
 
 class SizingError(ValueError):
     """A requested condition matrix exceeds the configured memory budget."""

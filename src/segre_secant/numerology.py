@@ -57,8 +57,8 @@ RULES = (
 )
 
 #: Most cells one closed-form sweep (``induction.replay_main_theorem`` or
-#: ``grassmann.check_corollary``) runs, counted from its bounds before any
-#: cell runs.  On a 2-core Xeon a replay at the limit computes in about
+#: ``grassmann.check_corollary``) or one ``verify`` grid runs, counted from
+#: its bounds before any cell runs.  On a 2-core Xeon a replay at the limit computes in about
 #: 0.2 s; through the CLI it takes about 0.55 s end to end, the rest mostly
 #: interpreter and numpy start-up and printing its 3.8 MB of JSON.
 MAX_SWEEP_CELLS = 20_000

@@ -31,12 +31,13 @@ became pivots give the rank after each of its points.  The loop runs with
 OpenBLAS on one thread (``field.one_blas_thread``).
 
 N + 1, the n, m, a, b >= 1 check and each report's expected dimension
-come from the closed-form layer (``numerology``).
+and rule come from the closed-form layer (``numerology``).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -51,7 +52,7 @@ from .field import (
     sample_point,
 )
 from .monomials import exponent_vectors, gradient_rows
-from .numerology import _ambient, expected_dimension
+from .numerology import _ambient, classify, expected_dimension
 
 #: Largest number of matrix entries a single dimension query may allocate.
 DEFAULT_MEMORY_BUDGET = 2**25
@@ -69,10 +70,6 @@ _METHOD_TANGENT = 0
 
 #: Schema tag of every JSON report.
 SCHEMA = "segre-secant/2"
-
-#: Allowed provenance tags for a SecantReport.
-METHODS = ("terracini", "affine-reduction")
-
 
 @dataclass(frozen=True)
 class SegreVeroneseSpec:
@@ -101,68 +98,46 @@ class SegreVeroneseSpec:
         return SegreVeroneseSpec(self.m, self.n, self.b, self.a)
 
 
-def secant_row(n, m, a, b, s, N, expected_dim, computed_dim, rule, prime, seed, trials, method) -> dict:
-    """One row of the secant-dimension table that dim and verify print.
+class SecantReport(NamedTuple):
+    """One dimension measurement with everything needed to reproduce it.
 
-    The one list of a row's keys; ``rule`` is empty where no closed form applies (m != 1).
+    The row dim and verify print: the fields are the row's keys, in order.
+    ``rule`` is the closed-form verdict's rule tag, empty where no closed
+    form applies (m != 1).  Build it with ``measured``.
     """
-    return {
-        "n": n, "m": m, "a": a, "b": b, "s": s, "N": N,
-        "expected_dim": expected_dim, "computed_dim": computed_dim,
-        "defect": expected_dim - computed_dim, "rule": rule,
-        "prime": prime, "seed": seed, "trials": trials, "method": method,
-    }
 
-
-#: The CSV header of dim and verify: the keys of ``secant_row``, in order.
-CSV_COLUMNS = tuple(secant_row(*(0,) * 13))
-
-
-@dataclass
-class SecantReport:
-    """One dimension measurement with everything needed to reproduce it."""
-
-    spec: SegreVeroneseSpec
+    n: int
+    m: int
+    a: int
+    b: int
     s: int
+    N: int
     expected_dim: int
     computed_dim: int
     defect: int
+    rule: str
     prime: int
     seed: int
     trials: int
     method: str
 
-    def __post_init__(self) -> None:
-        if self.computed_dim > self.expected_dim:
-            raise ValueError(
-                f"computed dimension {self.computed_dim} exceeds expected {self.expected_dim}"
-            )
-        if self.defect != self.expected_dim - self.computed_dim:
-            raise ValueError("defect must equal expected_dim - computed_dim")
-        if self.method not in METHODS:
-            raise ValueError(f"unknown method tag {self.method!r}")
-
-    def to_dict(self, rule: str = "") -> dict:
-        """The report as a ``secant_row``, with the closed-form verdict's rule."""
-        spec = self.spec
-        return secant_row(
-            spec.n, spec.m, spec.a, spec.b, self.s, spec.N, self.expected_dim, self.computed_dim,
-            rule, self.prime, self.seed, self.trials, self.method,
-        )
-
     @classmethod
     def measured(
-        cls, spec: SegreVeroneseSpec, s: int, computed: int, field: PrimeField, seed: int, trials: int, method: str
+        cls, spec: SegreVeroneseSpec, s: int, computed: int, prime: int, seed: int, trials: int, method: str
     ) -> "SecantReport":
         """The report of a computed dimension against min(N, s(n+m+1) - 1)."""
         expected = expected_dimension(spec.n, spec.m, spec.a, spec.b, s)
-        return cls(spec, s, expected, computed, expected - computed, field.p, seed, trials, method)
+        if computed > expected:
+            raise ValueError(f"computed dimension {computed} exceeds expected {expected}")
+        rule = classify(spec.n, spec.a, spec.b, s).rule if spec.m == 1 else ""
+        return cls(
+            spec.n, spec.m, spec.a, spec.b, s, spec.N, expected, computed, expected - computed,
+            rule, prime, seed, trials, method,
+        )
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "SecantReport":
-        """The report a ``secant_row`` (or a dim payload) was printed from."""
-        spec = SegreVeroneseSpec(d["n"], d["m"], d["a"], d["b"])
-        return cls(spec, *(d[f.name] for f in fields(cls)[1:]))
+
+#: The CSV header of dim and verify: the fields of ``SecantReport``.
+CSV_COLUMNS = SecantReport._fields
 
 
 def trial_rng(
@@ -402,4 +377,4 @@ def secant_dimension(
     if field is None:
         field = PrimeField(DEFAULT_PRIME)
     dims = dimension_profile(spec, s, trials=trials, field=field, seed=seed, memory_budget=memory_budget)
-    return SecantReport.measured(spec, s, int(dims[s - 1]), field, seed, trials, "terracini")
+    return SecantReport.measured(spec, s, int(dims[s - 1]), field.p, seed, trials, "terracini")

@@ -1,3 +1,4 @@
+import contextlib
 import csv
 import dataclasses
 import functools
@@ -6,11 +7,13 @@ import io
 import json
 import multiprocessing
 import os
+import re
 import subprocess
 import sys
 from math import comb
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import segre_secant
 from segre_secant import (
@@ -61,7 +64,7 @@ def test_dim_sporadic_case_json(capsys):
     assert payload["classification"]["rule"] == "main-theorem"
     assert payload["agreement"] is True
     # the JSON output parses back into the report type unchanged
-    report = SecantReport.from_dict(payload)
+    report = SecantReport._make(payload[key] for key in CSV_COLUMNS)
     assert (report.s, report.computed_dim, report.method) == (5, 18, "terracini")
 
 
@@ -392,6 +395,19 @@ def test_verify_refuses_a_repeated_prime(capsys, primes):
         dataclasses.replace(_sweep((1,), (1,), (1,), 1), primes=tuple(int(p) for p in primes.split(",")))
 
 
+@pytest.mark.parametrize("s_list, repeated", [("1,1", 1), ("2,3,2", 2)])
+def test_verify_refuses_a_repeated_s(capsys, s_list, repeated):
+    # A repeated s would print the same row twice and count it twice.
+    argv = ["verify", "--s-policy", "list", "--s-list", s_list, "--n-max", "1", "--a-max", "1", "--b-max", "1"]
+    code, out, err = run(capsys, argv)
+    assert (code, out) == (EXIT_USAGE, "")
+    assert err == f"segre-secant: error: --s-list names {repeated} more than once\n"
+    with pytest.raises(ValueError, match=f"^--s-list names {repeated} more than once$"):
+        dataclasses.replace(
+            _sweep((1,), (1,), (1,), 1), s_policy="list", s_list=tuple(int(s) for s in s_list.split(","))
+        )
+
+
 @pytest.mark.parametrize("policy", ["upto-qstar", "", "LIST"])
 def test_sweep_config_refuses_unknown_s_policy(policy):
     # Without the check every cell of such a sweep failed on an empty s list.
@@ -460,9 +476,9 @@ def test_verify_pool_runs_largest_cells_first_in_grid_order_output(monkeypatch):
     config = _sweep((1, 2, 3), (1, 3), (1, 2), 2)
     serial = cli.run_verify(_sweep((1, 2, 3), (1, 3), (1, 2), 1))
     assert cli.run_verify(config) == serial
-    costs = [cli._cell_cost(job) for job in _SerialPool.items]
+    costs = [cli._cell_cost(config, cell) for cell in _SerialPool.items]
     assert len(costs) == 12 and costs == sorted(costs, reverse=True)
-    assert _SerialPool.items[0][:4] == (3, 1, 3, 2)
+    assert _SerialPool.items[0] == (3, 1, 3, 2)
     # ncols**2 * (q* + 1): (3, 1, 3, 2) has 20 * 3 columns and q* = 12.
     assert costs[0] == 60**2 * 13
 
@@ -786,6 +802,25 @@ def test_oversized_sweeps_are_refused_before_any_cell(argv, sweep):
     assert proc.stderr == f"segre-secant: error: {sweep} has more than MAX_SWEEP_CELLS = 20000 cells\n"
 
 
+@pytest.mark.parametrize(
+    "bounds, sweep",
+    [
+        (["--b-max", "10000000000000000000000"], "(1, 1, 1) to (4, 5, 10000000000000000000000)"),
+        (["--b-max", "1001", "--jobs", "1"], "(1, 1, 1) to (4, 5, 1001)"),
+    ],
+    ids=["huge", "just-over"],
+)
+def test_oversized_verify_grid_is_refused_before_any_range(bounds, sweep):
+    # The cells are counted from the bounds: 4 * 5 * 1001 = 20020 is one
+    # grid just over the cap, and a bound past the index range builds no
+    # range at all.
+    proc = run_fresh(["verify", *bounds], timeout=5)
+    assert (proc.returncode, proc.stdout) == (EXIT_USAGE, ""), proc.stderr
+    assert proc.stderr == (
+        f"segre-secant: error: the verify grid from (n, a, b) = {sweep} has more than MAX_SWEEP_CELLS = 20000 cells\n"
+    )
+
+
 def test_importing_the_cli_loads_no_pool_parser_or_csv_modules():
     # These load where they are used (a pool, a parser, CSV output), so
     # every process that only imports the CLI skips their start-up cost.
@@ -794,3 +829,70 @@ def test_importing_the_cli_loads_no_pool_parser_or_csv_modules():
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(segre_secant.__file__)))
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=30)
     assert (proc.returncode, proc.stdout) == (0, "[]\n"), proc.stderr
+
+
+# Edge inputs of every subcommand.  Sizes stay at most 3, --trials at most 3
+# and --jobs at 1 or 2: a defective cell runs every trial it is given, so a
+# larger value only costs time.  Values are weighted towards valid ones, and
+# a required flag is left out one time in twenty, so that most draws get past
+# the parser.  verify always names its upper bounds, since its defaults are
+# the full grid.
+_SIZE = st.sampled_from((1, 2, 3) * 3 + (0, -1))
+_PRIME = st.sampled_from(("101", "2147483647", "2147483629") * 2 + ("2", "4", "0", "-7", "2147483648"))
+_INT_LIST = st.lists(_SIZE.map(str), max_size=3).map(",".join) | st.sampled_from(["x", ","])
+_PRIME_LIST = st.lists(_PRIME, min_size=1, max_size=3).map(",".join) | st.sampled_from(["x", ","])
+_FORMAT = st.sampled_from(["json", "csv", "json", "csv", "xml"])
+_ENGINE = {
+    "--trials": st.integers(-1, 3),
+    "--seed": _SIZE,
+    "--memory-budget": st.sampled_from([-1, 0, 10, 1000]),
+    "--format": _FORMAT,
+}
+_FLAGS = {
+    "dim": {**dict.fromkeys(["--n", "--m", "--a", "--b", "--s"], _SIZE), "--prime": _PRIME,
+            "--cross-check": st.none(), **_ENGINE},
+    "verify": {**dict.fromkeys(["--n-min", "--a-min", "--b-min", "--m"], _SIZE),
+               "--s-policy": st.sampled_from(["uptoqstar", "list", "uptoqstar", "list", "all"]),
+               "--s-list": _INT_LIST, "--primes": _PRIME_LIST, "--jobs": st.sampled_from([1, 2]), **_ENGINE},
+    "replay": {**dict.fromkeys(["--n-max", "--a-max", "--b-max"], _SIZE), "--format": _FORMAT},
+    "grassmann": {**dict.fromkeys(["--n-max", "--a-max"], _SIZE), "--format": _FORMAT},
+    "numerology": {**dict.fromkeys(["--n", "--m", "--a", "--b"], _SIZE), "--format": _FORMAT},
+}
+_REQUIRED = {"--n", "--m", "--a", "--b", "--s", "--n-max", "--a-max", "--b-max"}
+
+
+@st.composite
+def _argv(draw):
+    command = draw(st.sampled_from(sorted(_FLAGS)))
+    argv = [command]
+    for flag, values in _FLAGS[command].items():
+        if draw(st.integers(0, 19)) > (0 if flag in _REQUIRED else 9):
+            value = draw(values)
+            # The --flag=value form keeps a negative value from reading as a flag.
+            argv.append(flag if value is None else f"{flag}={value}")
+    if command == "verify":
+        argv += [f"{flag}={draw(_SIZE)}" for flag in ("--n-max", "--a-max", "--b-max")]
+    return argv
+
+
+@settings(max_examples=100, deadline=None)
+@given(argv=_argv())
+@example(argv=["verify", "--b-max", "10000000000000000000000"])
+@example(argv=["verify", "--s-policy", "list", "--s-list", "1,1", "--n-max", "1", "--a-max", "1", "--b-max", "1"])
+def test_every_argv_exits_with_a_code_and_an_error_line(argv):
+    # Run in-process: any exception but SystemExit fails the test.
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    err = err.getvalue()
+    assert code in (EXIT_OK, EXIT_USAGE, EXIT_DISCREPANCY), (code, err)
+    assert "Traceback" not in err
+    if code == EXIT_USAGE:
+        # main's line, argparse's line, or, for verify, one of its cell errors.
+        lines = [r"segre-secant: error: ", rf"segre-secant {argv[0]}: error: "]
+        if argv[0] == "verify":
+            lines.append(r"cell \(-?\d+, -?\d+, -?\d+, -?\d+\): ")
+        assert any(re.match("|".join(lines), text) for text in err.splitlines()), err

@@ -76,13 +76,6 @@ def test_is_prime_small_values():
             assert is_prime(value) == trial_division(value), value
 
 
-def test_field_inverse():
-    for x in (1, 2, 57, 100):
-        assert F101.inverse(x) * x % 101 == 1
-    with pytest.raises(ValueError):
-        F101.inverse(0)
-
-
 def test_rank_identity():
     assert rank(_matrix(np.eye(3, dtype=np.int64))) == 3
 

@@ -83,7 +83,7 @@ def test_sporadic_defective_case():
 
 def test_quadric_secants_fill_p3():
     report = secant_dimension(SegreVeroneseSpec(1, 1, 1, 1), 2)
-    assert report.computed_dim == 3 == report.spec.N
+    assert report.computed_dim == 3 == report.N
 
 
 def test_segre_profiles_match_determinantal_closed_form():
@@ -207,17 +207,10 @@ def test_report_invariants_and_roundtrip():
     report = secant_dimension(SegreVeroneseSpec(2, 1, 3, 1), 5, seed=4)
     assert report.defect == report.expected_dim - report.computed_dim
     assert report.computed_dim <= report.expected_dim
-    assert SecantReport.from_dict(report.to_dict()) == report
-    with pytest.raises(ValueError):
-        SecantReport(
-            spec=SegreVeroneseSpec(1, 1, 1, 1), s=1, expected_dim=2, computed_dim=3,
-            defect=-1, prime=101, seed=0, trials=1, method="terracini",
-        )
-    with pytest.raises(ValueError):
-        SecantReport(
-            spec=SegreVeroneseSpec(1, 1, 1, 1), s=1, expected_dim=2, computed_dim=1,
-            defect=0, prime=101, seed=0, trials=1, method="terracini",
-        )
+    assert SecantReport._make(report) == report
+    assert SecantReport.measured(SegreVeroneseSpec(2, 1, 3, 1), 5, 18, report.prime, 4, 3, "terracini") == report
+    with pytest.raises(ValueError, match="^computed dimension 3 exceeds expected 2$"):
+        SecantReport.measured(SegreVeroneseSpec(1, 1, 1, 1), 1, 3, 101, 0, 1, "terracini")
 
 
 def test_single_s_query_consistent_with_profile():
