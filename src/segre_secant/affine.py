@@ -18,8 +18,12 @@ evaluation row.  Then
 
 an independent second computation path for every secant dimension.  Like
 the tangent path, its Monte-Carlo trials stream panels of double points
-through ``terracini.rank_profile``; only ``ideal_dimension``, which also
-serves reduced points, ranks a whole condition matrix in one shot.
+through ``terracini.rank_profile``, each panel's rows in Euler form
+(``monomials.euler_rows``: row i of a point is gamma_i times the value of
+z^gamma, the partial in z_i scaled by z_i) unless a coordinate after z_0 is
+0 mod p, where it gets the exact partials of ``gradient_rows``.  Only
+``ideal_dimension``, which also serves reduced points, ranks a whole
+condition matrix in one shot, built from ``gradient_rows``.
 
 Sampled points use the chart z_0 = 1, which already avoids H2; membership
 in H1 is rejection-sampled with a capped number of retries so that a
@@ -33,7 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .field import ConditionMatrix, PrimeField, rank, sample_point
-from .monomials import gradient_rows, split_exponent_array
+from .monomials import euler_rows, gradient_rows, monomial_values, split_exponent_array
 from .terracini import (
     DEFAULT_MEMORY_BUDGET,
     SecantReport,
@@ -163,7 +167,10 @@ def secant_dimension_via_reduction(
     """dim sigma_s computed as N minus the ideal dimension in P^(n+m).
 
     Each trial streams the double-point conditions, a panel of points at a
-    time, through ``rank_profile``; random evaluation can only overestimate
+    time, through ``rank_profile``, in Euler form as the module docstring
+    says; the z_0 = 1 chart makes row 0 the partial in z_0 itself, and a
+    row scaled by a nonzero z_i keeps every span, so the ranks are those of
+    the partials.  Random evaluation can only overestimate
     the ideal dimension, so its minimum over trials (the max rank) is the
     right aggregator, and N - (|split basis| - rank) = rank - 1.
     """
@@ -171,16 +178,32 @@ def secant_dimension_via_reduction(
         field = PrimeField()
     scheme = AffineSchemeSpec(spec.n, spec.m, spec.a, spec.b, s)
     check_profile_size(f"affine rank profile for {scheme}", spec, s, field.p, memory_budget)
-    nvars = spec.dim + 1
-    gammas = split_exponent_array(spec)
-
-    def panel_at(rng: np.random.Generator, k: int) -> np.ndarray:
-        points = sample_generic_point(scheme, field, rng, k)
-        return gradient_rows(gammas, points, field.p)[1].reshape(k * nvars, -1)
-
+    rows_at = _double_point_panel(spec, field.p)
     ranks = rank_profile(
-        gammas.shape[0], nvars, field, s, trials,
+        spec.N + 1, spec.dim + 1, field, s, trials,
         lambda trial: trial_rng(spec, seed, trial, field.p, _METHOD_AFFINE),
-        panel_at,
+        lambda rng, k: rows_at(sample_generic_point(scheme, field, rng, k)),
     )
     return SecantReport.measured(spec, s, int(ranks[-1]) - 1, field.p, seed, trials, "affine-reduction")
+
+
+def _double_point_panel(spec: SegreVeroneseSpec, p: int):
+    """The rows ``secant_dimension_via_reduction`` streams for a panel of points.
+
+    Returns ``rows_at(z)`` for chart points z of shape (k, n+m+1), z_0 = 1:
+    the n+m+1 double-point conditions of each point on the split basis, in
+    Euler form (row i is gamma_i times the value of z^gamma) when every
+    coordinate after z_0 is nonzero mod p, else the partials of
+    ``gradient_rows``.  Euler entries are below (a+b) * p, left for
+    ``absorb`` to reduce.
+    """
+    gammas = split_exponent_array(spec)
+    values_at = monomial_values(gammas[:, 1:])
+    weights = np.ascontiguousarray(gammas.T)
+
+    def rows_at(z: np.ndarray) -> np.ndarray:
+        if z[:, 1:].all():
+            return euler_rows(weights, values_at(z[:, 1:], p))
+        return gradient_rows(gammas, z, p)[1].reshape(-1, gammas.shape[0])
+
+    return rows_at

@@ -18,13 +18,23 @@ enumerations use descending lexicographic order on exponent tuples and are
 stable across runs; every matrix in the package orders its columns this
 way, bigraded columns alpha-major.
 
-``gradient_rows`` is the one evaluator of monomials and their first
-partial derivatives, at one point or at a panel of points in one call; the
-tangent and affine condition matrices are both assembled from it.
+``monomial_values`` is the one evaluator of monomials: it builds a gather
+index into a table of coordinate powers once, then evaluates a panel of
+points at a time.  ``gradient_rows`` evaluates first partial derivatives
+through it, as the values of the exponents lowered by one in each variable.
+
+``euler_rows`` is how the rank profiles build their rows.  By the Euler
+identity z_i d(z^gamma)/dz_i = gamma_i z^gamma, the partials at a point
+scaled by its coordinates are a fixed exponent matrix times the one vector
+of monomial values.  Scaling a row by a nonzero constant changes no span, so
+where every such coordinate is nonzero mod p these rows have the rank and
+row rank profile of the partials themselves; a panel with a zero
+coordinate is built from ``gradient_rows`` instead.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
 from itertools import chain, combinations
 
 import numpy as np
@@ -32,24 +42,68 @@ import numpy as np
 from .numerology import _ambient
 
 
+@lru_cache(maxsize=256)
 def exponent_vectors(degree: int, nvars: int) -> np.ndarray:
     """All exponent vectors of the given total degree, descending lex.
 
-    Returns an int64 array of shape (C(degree + nvars - 1, nvars - 1), nvars).
+    Returns a read-only int64 array of shape (C(degree + nvars - 1, nvars - 1),
+    nvars), the same object on every call with the same arguments.
     """
     if degree < 0 or nvars < 1:
         raise ValueError(f"need degree >= 0 and nvars >= 1, got ({degree}, {nvars})")
     if nvars == 1:
-        return np.array([[degree]], dtype=np.int64)
-    # Stars and bars: nvars - 1 bars among degree + nvars - 1 slots, the gaps
-    # between bars being the exponents.  combinations() yields bar positions
-    # in ascending lex order, which is ascending lex order on exponents.
-    slots = degree + nvars - 1
-    bars = np.fromiter(
-        chain.from_iterable(combinations(range(slots), nvars - 1)), dtype=np.int64
-    ).reshape(-1, nvars - 1)
-    edges = np.hstack([np.full((bars.shape[0], 1), -1), bars, np.full((bars.shape[0], 1), slots)])
-    return np.ascontiguousarray((np.diff(edges, axis=1) - 1)[::-1])
+        exps = np.array([[degree]], dtype=np.int64)
+    else:
+        # Stars and bars: nvars - 1 bars among degree + nvars - 1 slots, the
+        # gaps between bars being the exponents.  combinations() yields bar
+        # positions in ascending lex order, which is ascending lex order on
+        # exponents.
+        slots = degree + nvars - 1
+        bars = np.fromiter(
+            chain.from_iterable(combinations(range(slots), nvars - 1)), dtype=np.int64
+        ).reshape(-1, nvars - 1)
+        edges = np.hstack([np.full((bars.shape[0], 1), -1), bars, np.full((bars.shape[0], 1), slots)])
+        exps = np.ascontiguousarray((np.diff(edges, axis=1) - 1)[::-1])
+    exps.flags.writeable = False
+    return exps
+
+
+def monomial_values(exps: np.ndarray):
+    """The evaluator of the monomials z^exps[j], built once for many panels.
+
+    ``exps`` holds one exponent vector per row.  Returns ``values(z, p)``,
+    which takes k points as a (k, nvars) int64 array of coordinates in
+    [0, p) and returns the (k, nmon) array of values z^exps[j] mod p.  The
+    gather index into the flattened table of powers z_v^0, ..., z_v^d (d the
+    largest exponent) is built here; a call builds the table and multiplies
+    the gathered powers, each product reduced before the next, so p < 2**31
+    keeps every intermediate inside int64.  A coordinate that is 1 at every
+    point adds nothing to a value and can be left out of both arguments.
+    """
+    nvars = exps.shape[1]
+    stride = int(exps.max(initial=0)) + 1
+    index = exps.T + stride * np.arange(nvars)[:, None]
+
+    def values(z: np.ndarray, p: int) -> np.ndarray:
+        table = np.empty((z.shape[0], nvars, stride), dtype=np.int64)
+        table[:, :, 0] = 1
+        table[:, :, 1:2] = z[:, :, None]
+        # Powers 1..d - 1 are in place: z^(d - 1) times each of z^1..z^c
+        # gives the next c, so each step about doubles them.
+        d = 2
+        while d < stride:
+            c = min(d - 1, stride - d)
+            np.multiply(table[:, :, d - 1 : d], table[:, :, 1 : c + 1], out=table[:, :, d : d + c])
+            table[:, :, d : d + c] %= p
+            d += c
+        factors = table.reshape(z.shape[0], nvars * stride)[:, index]
+        product = factors[:, 0]
+        for v in range(1, nvars):
+            product = product * factors[:, v]
+            product %= p
+        return product
+
+    return values
 
 
 def gradient_rows(exps: np.ndarray, points, p: int) -> tuple[np.ndarray, np.ndarray]:
@@ -60,32 +114,33 @@ def gradient_rows(exps: np.ndarray, points, p: int) -> tuple[np.ndarray, np.ndar
     points evaluated at once.  For one point, returns ``(values, partials)``
     with values[j] = z^exps[j] and partials[i, j] = d(z^exps[j])/dz_i; for k
     points, the same with a leading axis of length k.  Entries are reduced
-    to [0, p).  Every product is reduced before the next, so p < 2**31
-    keeps each intermediate inside int64.
+    to [0, p).  All of them come from one ``monomial_values`` call.
     """
     nmon, nvars = exps.shape
     z = np.asarray(points, dtype=np.int64) % p
     single = z.ndim == 1
     z = np.atleast_2d(z)
-    k = z.shape[0]
-    table = np.ones((k, nvars, int(exps.max()) + 1), dtype=np.int64)
-    for d in range(1, table.shape[2]):
-        table[:, :, d] = table[:, :, d - 1] * z % p
-    var = np.arange(nvars)[:, None]
-    # factors[:, i, l] is variable l's factor of the partial in z_i, without
-    # its exponent (lowered by one where l = i), and factors[:, nvars, l]
-    # its factor of the monomial itself; a product over l gives both.
-    powers = table[:, var, exps.T]
-    factors = np.repeat(powers[:, None], nvars + 1, axis=1)
-    factors[:, var[:, 0], var[:, 0]] = table[:, var, np.maximum(exps.T - 1, 0)]
-    product = factors[:, :, 0]
-    for v in range(1, nvars):
-        product = product * factors[:, :, v] % p
-    partials = product[:, :nvars] * (exps.T % p) % p
-    values = product[:, nvars]
+    # Block i < nvars holds the exponents lowered by one in z_i (0 where
+    # z_i does not occur, whose partial is 0 anyway), block nvars the
+    # exponents themselves: the partial in z_i is exps[:, i] times block i.
+    lowered = np.maximum(exps - np.eye(nvars, dtype=np.int64)[:, None], 0)
+    cube = monomial_values(np.vstack([lowered.reshape(-1, nvars), exps]))(z, p).reshape(-1, nvars + 1, nmon)
+    partials = cube[:, :nvars] * (exps.T % p) % p
+    values = cube[:, nvars]
     if single:
         return values[0], partials[0]
     return values, partials
+
+
+def euler_rows(weights: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """Rows weights[i] * values[t] for each point t, stacked in point order.
+
+    With ``weights`` the exponent matrix of the monomials (one row per
+    variable) and values[t] their values at point t, row i of point t is
+    z_i times the partial in z_i there (the Euler identity).  Entries are
+    below max(weights) * p and are left unreduced.
+    """
+    return (weights[None] * values[:, None, :]).reshape(-1, weights.shape[1])
 
 
 def _validate(spec) -> tuple[int, int, int, int]:
@@ -99,12 +154,16 @@ def split_exponent_array(spec) -> np.ndarray:
 
     These are the gamma with sum(gamma[0..n]) >= a and sum(gamma[n..n+m]) >= b
     (index n counted in both blocks), one per row in descending lex order.
-    The count always equals C(n+a, n) * C(m+b, m).
+    They are built as the images (alpha_<n, alpha_n + beta_0, beta_>0) of
+    the bigraded basis, so the count always equals C(n+a, n) * C(m+b, m).
     """
     n, m, a, b = _validate(spec)
-    gammas = exponent_vectors(a + b, n + m + 1)
-    keep = (gammas[:, : n + 1].sum(axis=1) >= a) & (gammas[:, n:].sum(axis=1) >= b)
-    return gammas[keep]
+    alphas = exponent_vectors(a, n + 1)
+    betas = exponent_vectors(b, m + 1)
+    x = np.repeat(alphas, betas.shape[0], axis=0)
+    y = np.tile(betas, (alphas.shape[0], 1))
+    gammas = np.hstack([x[:, :n], x[:, n:] + y[:, :1], y[:, 1:]])
+    return gammas[np.lexsort(-gammas.T[::-1])]
 
 
 def split_to_bigraded(spec) -> np.ndarray:

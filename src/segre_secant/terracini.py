@@ -25,10 +25,15 @@ reportable event, never silently resolved.
 
 ``rank_profile`` is the one Monte-Carlo loop of the package, shared by the
 tangent and affine-reduction paths.  It draws the points of a trial in
-panels of consecutive points, evaluates each panel's rows in one call and
+panels of consecutive points, builds each panel's rows in one call and
 absorbs them in one ``RankAccumulator.absorb``; the rows of the panel that
 became pivots give the rank after each of its points.  The loop runs with
-OpenBLAS on one thread (``field.one_blas_thread``).
+OpenBLAS on one thread (``field.one_blas_thread``).  Both paths build a
+panel in Euler form (``monomials.euler_rows``): each partial scaled by its
+coordinate, a fixed exponent matrix times one vector of monomial values,
+which has the rank and row rank profile of the partials wherever those
+coordinates are nonzero; a panel with a zero coordinate gets the exact
+partials instead.
 
 N + 1, the n, m, a, b >= 1 check and each report's expected dimension
 and rule come from the closed-form layer (``numerology``).
@@ -51,7 +56,7 @@ from .field import (
     one_blas_thread,
     sample_point,
 )
-from .monomials import exponent_vectors, gradient_rows
+from .monomials import euler_rows, exponent_vectors, gradient_rows, monomial_values
 from .numerology import _ambient, classify, expected_dimension
 
 #: Largest number of matrix entries a single dimension query may allocate.
@@ -339,28 +344,50 @@ def dimension_profile(
 
     The rank profile of tangent blocks (see ``rank_profile``) minus one:
     entry s - 1 holds dim sigma_s.  Each point streams its n + m + 1 rows
-    other than the partial in x_0, which at x_0 = 1 lies in their span.
+    other than the partial in x_0, which at x_0 = 1 lies in their span,
+    built by ``_tangent_panel``.
     """
     if field is None:
         field = PrimeField(DEFAULT_PRIME)
     check_profile_size(f"tangent rank profile for {spec} with s={s_max}", spec, s_max, field.p, memory_budget)
-    alphas = exponent_vectors(spec.a, spec.n + 1)
-    betas = exponent_vectors(spec.b, spec.m + 1)
-
-    def panel_at(rng: np.random.Generator, k: int) -> np.ndarray:
-        # Row i of z is 1, then point i's x then y coordinates after their
-        # leading 1s; y's leading 1 overwrites a copy of x's last coordinate.
-        z = sample_point(spec.dim, field, rng, k)
-        y = z[:, spec.n :].copy()
-        y[:, 0] = 1
-        return _tangent_rows(alphas, betas, z[:, : spec.n + 1], y, field.p, 1)
-
+    rows_at = _tangent_panel(spec, field.p)
     ranks = rank_profile(
-        alphas.shape[0] * betas.shape[0], spec.dim + 1, field, s_max, trials,
+        spec.N + 1, spec.dim + 1, field, s_max, trials,
         lambda trial: trial_rng(spec, seed, trial, field.p, _METHOD_TANGENT),
-        panel_at,
+        lambda rng, k: rows_at(sample_point(spec.dim, field, rng, k)),
     )
     return ranks - 1
+
+
+def _tangent_panel(spec: SegreVeroneseSpec, p: int):
+    """The rows ``dimension_profile`` streams for a panel of chart points.
+
+    Returns ``rows_at(z)`` for z of shape (k, n+m+1), row i being 1, then
+    point i's x then y coordinates after their leading 1s.  Each point gets
+    the rows of ``_tangent_rows`` with first_x = 1, the partials in x_1..x_n
+    then y_0..y_m, in Euler form: row x_i is alpha_i times the value of
+    x^alpha y^beta, row y_j is beta_j times it, the partials scaled by
+    x_i and y_j (y_0 = 1).  Those scalings are nonzero unless a coordinate
+    after the leading 1s is 0 mod p; such a panel gets ``_tangent_rows``
+    itself.  Entries are below max(a, b) * p, left for ``absorb`` to reduce.
+    """
+    n = spec.n
+    alphas = exponent_vectors(spec.a, n + 1)
+    betas = exponent_vectors(spec.b, spec.m + 1)
+    x_values = monomial_values(alphas[:, 1:])
+    y_values = monomial_values(betas[:, 1:])
+    weights = np.vstack([np.repeat(alphas[:, 1:].T, betas.shape[0], axis=1), np.tile(betas.T, alphas.shape[0])])
+
+    def rows_at(z: np.ndarray) -> np.ndarray:
+        if z[:, 1:].all():
+            values = x_values(z[:, 1 : n + 1], p)[:, :, None] * y_values(z[:, n + 1 :], p)[:, None, :] % p
+            return euler_rows(weights, values.reshape(z.shape[0], -1))
+        # y's leading 1 overwrites a copy of x's last coordinate.
+        y = z[:, n:].copy()
+        y[:, 0] = 1
+        return _tangent_rows(alphas, betas, z[:, : n + 1], y, p, 1)
+
+    return rows_at
 
 
 def secant_dimension(

@@ -8,7 +8,9 @@ evaluated in exact Python integers.  The one exception is
 ``full_rank_profile``, which checks the trial loop's control flow and so
 reuses the package's rank accumulator (checked against ``modular_rank`` by
 its own tests).  ``points_off_h1_one_by_one`` draws the affine path's
-points one at a time, straight from the generator.
+points one at a time, straight from the generator, and
+``filtered_split_exponents`` builds the split basis by filtering every
+degree-(a+b) exponent vector, the package's first construction of it.
 Slow is fine here; independence is the point.
 """
 
@@ -17,7 +19,7 @@ from itertools import product
 
 import numpy as np
 
-from segre_secant import RankAccumulator
+from segre_secant import RankAccumulator, exponent_vectors
 
 
 def rational_rank(rows) -> int:
@@ -93,6 +95,14 @@ def brute_split_monomials(n, m, a, b):
         if sum(gamma[: n + 1]) >= a and sum(gamma[n:]) >= b:
             found.append(gamma)
     return found
+
+
+def filtered_split_exponents(n, m, a, b):
+    """The split basis as every degree-(a+b) exponent vector in n+m+1 variables,
+    descending lex, kept where sum(gamma[0..n]) >= a and sum(gamma[n..n+m]) >= b."""
+    gammas = exponent_vectors(a + b, n + m + 1)
+    keep = (gammas[:, : n + 1].sum(axis=1) >= a) & (gammas[:, n:].sum(axis=1) >= b)
+    return gammas[keep]
 
 
 def segre_secant_dim(n: int, m: int, s: int) -> int:

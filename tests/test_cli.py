@@ -665,6 +665,12 @@ PINNED_STDOUT = {
         "cc4fef0a7f089e8bcba6606800d72a318c8e1c9d051b61a0a82288986d475d7b",
     ("dim", "--n", "2", "--m", "1", "--a", "3", "--b", "1", "--s", "5", "--cross-check", "--format", "csv"):
         "b3350784dc080e13261abb88fdd51003b4a5d43d3225bcbb2778ae844f951af1",
+    # At p = 67 the one trial draws a point with a zero coordinate on each
+    # path, whose panel must take the exact partials: computed_dim 18 on
+    # both paths, 17 if the Euler rows were kept there.
+    ("dim", "--n", "2", "--m", "1", "--a", "3", "--b", "1", "--s", "5", "--cross-check", "--trials", "1",
+     "--prime", "67"):
+        "31d2e77680f71dac47060a10415585e077ff866ef41d0cc659cad18c71a459de",
 }
 
 

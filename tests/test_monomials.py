@@ -17,6 +17,7 @@ from segre_secant.terracini import tangent_block
 
 from oracles import (
     brute_split_monomials,
+    filtered_split_exponents,
     integer_monomial,
     integer_partial,
     integer_tangent_matrix,
@@ -135,6 +136,26 @@ def test_counts_and_bijection_full_sweep():
                     assert len(gammas) == expected
                     perm = split_to_bigraded(spec)  # raises if not bijective
                     _assert_dictionary(spec, gammas, perm)
+
+
+def test_split_basis_equals_the_filtered_enumeration():
+    # The basis built from the two bigraded bases is the filtered
+    # enumeration of all degree-(a+b) monomials, row for row.
+    for n in range(1, 5):
+        for m in range(1, 5):
+            for a in range(1, 6):
+                for b in range(1, 6):
+                    got = split_exponent_array(SegreVeroneseSpec(n, m, a, b))
+                    assert got.dtype == np.int64
+                    assert np.array_equal(got, filtered_split_exponents(n, m, a, b)), (n, m, a, b)
+
+
+def test_exponent_vectors_are_cached_and_read_only():
+    first = exponent_vectors(3, 4)
+    assert exponent_vectors(3, 4) is first
+    with pytest.raises(ValueError):
+        first[0, 0] = 7
+    assert first[0].tolist() == [3, 0, 0, 0]
 
 
 def test_split_exponent_array_matches_list():

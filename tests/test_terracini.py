@@ -24,7 +24,7 @@ from segre_secant.affine import (
     secant_dimension_via_reduction,
 )
 from segre_secant.monomials import exponent_vectors, gradient_rows, split_exponent_array
-from segre_secant import field as field_module, terracini
+from segre_secant import affine as affine_module, field as field_module, terracini
 from segre_secant.terracini import rank_profile, tangent_block, trial_rng
 
 from oracles import chart_point, full_rank_profile, integer_tangent_matrix, rational_rank, segre_secant_dim
@@ -412,24 +412,99 @@ def test_panel_draws_equal_point_draws(p):
 
 def test_tangent_panels_are_drawn_at_sample_point_points(monkeypatch):
     # The points dimension_profile evaluates are those of sample_point calls
-    # on the trial's stream, x then y per point, in order, and their rows
-    # start after the partial in x_0.
+    # on the trial's stream, x then y per point, in order, and each absorbed
+    # block holds their rows after the partial in x_0, each scaled by its
+    # coordinate (the Euler form, y_0 = 1).
     spec = SegreVeroneseSpec(2, 1, 2, 3)
-    seen = []
-    original = terracini._tangent_rows
+    n, p = spec.n, FIELD.p
+    seen, blocks = [], []
+    sample, absorb = terracini.sample_point, RankAccumulator.absorb
 
-    def recording(alphas, betas, x, y, p, first_x):
-        assert first_x == 1
-        seen.append((x, y))
-        return original(alphas, betas, x, y, p, first_x)
+    def recording_sample(dim, field, rng, k):
+        z = sample(dim, field, rng, k)
+        seen.append(z)
+        return z
 
-    monkeypatch.setattr(terracini, "_tangent_rows", recording)
+    def recording_absorb(acc, block):
+        blocks.append(np.array(block))
+        return absorb(acc, block)
+
+    monkeypatch.setattr(terracini, "sample_point", recording_sample)
+    monkeypatch.setattr(RankAccumulator, "absorb", recording_absorb)
     dimension_profile(spec, 6, trials=1, field=FIELD, seed=3)
-    xs = np.vstack([x for x, _ in seen])
-    ys = np.vstack([y for _, y in seen])
-    expected = _points(spec, xs.shape[0], seed=3)
+    z = np.vstack(seen)
+    expected = _points(spec, z.shape[0], seed=3)
+    xs, ys = z[:, : n + 1], np.hstack([np.ones((z.shape[0], 1), dtype=np.int64), z[:, n + 1 :]])
     assert np.array_equal(xs, np.array([x for x, _ in expected]))
     assert np.array_equal(ys, np.array([y for _, y in expected]))
+    alphas, betas = exponent_vectors(spec.a, n + 1), exponent_vectors(spec.b, spec.m + 1)
+    scale = np.hstack([xs[:, 1:], ys]).reshape(-1, 1)
+    exact = terracini._tangent_rows(alphas, betas, xs, ys, p, 1)
+    assert np.array_equal(np.vstack(blocks) % p, exact * scale % p)
+
+
+def _exact_panels(spec, p):
+    """Exact partials at chart points z: (tangent rows, affine rows)."""
+    n = spec.n
+    alphas, betas = exponent_vectors(spec.a, n + 1), exponent_vectors(spec.b, spec.m + 1)
+    gammas = split_exponent_array(spec)
+
+    def tangent(z):
+        ys = np.hstack([np.ones((z.shape[0], 1), dtype=np.int64), z[:, n + 1 :]])
+        return terracini._tangent_rows(alphas, betas, z[:, : n + 1], ys, p, 1)
+
+    def affine(z):
+        return gradient_rows(gammas, z, p)[1].reshape(-1, gammas.shape[0])
+
+    return tangent, affine
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    cell=st.tuples(st.integers(1, 3), st.integers(1, 3), st.integers(1, 4), st.integers(1, 4)).filter(
+        lambda c: c[0] + c[1] <= 5 and c[2] + c[3] <= 6
+    ),
+    panels=st.lists(st.tuples(st.integers(1, 3), st.booleans()), min_size=1, max_size=3),
+    small_prime=st.booleans(),
+    data=st.data(),
+)
+def test_euler_panels_have_the_rank_profile_of_the_partials(cell, panels, small_prime, data):
+    # Both paths' streamed panels against the exact partials at the same
+    # chart points, absorbed panel by panel into fresh accumulators: equal
+    # ranks and equal pivot rows, at a prime just above the Schwartz-Zippel
+    # bound and at 2**31 - 1.  A panel drawn with zeros has a coordinate 0
+    # about half the time, and then takes the fallback.
+    n, m, a, b = cell
+    spec = SegreVeroneseSpec(n, m, a, b)
+    s = sum(k for k, _ in panels)
+    p = _prime_above(min(spec.N + 1, s * (n + m + 1)) * (a + b - 1)) if small_prime else DEFAULT_PRIME
+    field = PrimeField(p)
+    drawn = []
+    for k, zeros in panels:
+        coord = st.one_of(st.just(0), st.integers(1, p - 1)) if zeros else st.integers(1, p - 1)
+        rows = data.draw(st.lists(st.lists(coord, min_size=n + m, max_size=n + m), min_size=k, max_size=k))
+        drawn.append(np.hstack([np.ones((k, 1), dtype=np.int64), np.array(rows, dtype=np.int64)]))
+    streamed = (terracini._tangent_panel(spec, p), affine_module._double_point_panel(spec, p))
+    for stream, exact in zip(streamed, _exact_panels(spec, p)):
+        accs = RankAccumulator(spec.N + 1, field), RankAccumulator(spec.N + 1, field)
+        for z in drawn:
+            assert accs[0].absorb(stream(z)) == accs[1].absorb(exact(z))
+            assert np.array_equal(accs[0].pivot_rows, accs[1].pivot_rows)
+
+
+@pytest.mark.parametrize("column", [1, 2, 3, 4])
+def test_a_zero_coordinate_panel_is_the_exact_partials(column):
+    # A zero in any coordinate after the chart's leading 1 (x_1, x_2, y_1,
+    # y_2 here) makes the whole panel the exact partials on both paths; at
+    # the same points without the zero the Euler rows differ from them.
+    spec = SegreVeroneseSpec(2, 2, 2, 2)
+    generic = sample_point(spec.dim, FIELD, np.random.default_rng(column), 3)
+    zero = generic.copy()
+    zero[1, column] = 0
+    streamed = (terracini._tangent_panel(spec, FIELD.p), affine_module._double_point_panel(spec, FIELD.p))
+    for stream, exact in zip(streamed, _exact_panels(spec, FIELD.p)):
+        assert not np.array_equal(stream(generic), exact(generic))
+        assert np.array_equal(stream(zero), exact(zero))
 
 
 @settings(max_examples=15, deadline=None)
