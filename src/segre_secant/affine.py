@@ -93,18 +93,24 @@ def sample_generic_point(
     the points of drawing one at a time; MAX_POINT_RETRIES draws in a row
     on H1 raise ``GenericityError``.
     """
+    z = sample_point(scheme.n + scheme.m, field, rng, k)
+    off_h1 = z[:, scheme.n :].any(axis=1)
+    if off_h1.all():  # the usual case: no draw to refill
+        return z
     points = np.empty((0, scheme.n + scheme.m + 1), dtype=np.int64)
     run = 0  # draws on H1 since the last point kept
-    while len(points) < k:
-        z = sample_point(scheme.n + scheme.m, field, rng, k - len(points))
-        kept = np.flatnonzero(z[:, scheme.n :].any(axis=1))
+    while True:
+        kept = np.flatnonzero(off_h1)
         # Draws on H1 before each kept row, then after the last one.
         runs = np.diff(np.concatenate([[-1 - run], kept, [len(z)]])) - 1
         if runs.max() >= MAX_POINT_RETRIES:
             raise GenericityError(f"failed to sample a point off H1 for {scheme} after {MAX_POINT_RETRIES} retries")
         run = runs[-1]
         points = np.concatenate([points, z[kept]])
-    return points
+        if len(points) == k:
+            return points
+        z = sample_point(scheme.n + scheme.m, field, rng, k - len(points))
+        off_h1 = z[:, scheme.n :].any(axis=1)
 
 
 def condition_matrix(

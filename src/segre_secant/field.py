@@ -21,6 +21,12 @@ length, each reduced mod p before the next is added.  The basis size
 therefore does not enter the exactness bound; RankAccumulator still
 refuses a basis of MAX_BASIS_ROWS rows or more.
 
+Its basis memory is fixed at construction: two flat float64 buffers of
+ncols**2 / 4 entries, the most an r x F basis with r + F = ncols can hold,
+one for the basis and one for the next basis; each panel adds temporaries
+of its own size.  ``terracini.check_memory_budget`` counts three such
+buffers (see there).
+
 Those products are small, so OpenBLAS threads only add contention:
 ``one_blas_thread``, the only OpenBLAS control, runs a computation on
 one thread and restores the caller's count; each rank profile runs in it.
@@ -331,6 +337,11 @@ class RankAccumulator:
     against each other.  One more product folds them into ``[I | E]``
     right away (``_fold``): after every strip, and so between calls, the
     basis holds exactly ``rank`` rows, and no other rows are kept.
+
+    ``E`` is a view of one of two flat float64 buffers of ncols**2 / 4
+    entries, taken once.  A fold updates ``E`` in place, with its product
+    written to the other buffer, gathers the kept columns and the new rows
+    into that buffer, and swaps the two.
     """
 
     def __init__(self, ncols: int, field: PrimeField):
@@ -342,10 +353,9 @@ class RankAccumulator:
         self._weights = 2.0**offsets
         self._piv = np.empty(0, dtype=np.int64)
         self._free = np.arange(ncols)
-        self._E = np.empty((0, ncols))
-        # Flat float64 buffers, reused across folds: the one E is a view
-        # of, the one the next E is written to, and scratch.
-        self._store = self._spare = self._work = None
+        # r + F = ncols bounds r * F by ncols**2 / 4, so E always fits.
+        self._store, self._spare = np.empty((2, ncols * ncols // 4))
+        self._E = _view(self._store, (0, ncols))
         self.pivot_rows = np.empty(0, dtype=np.int64)
 
     @property
@@ -380,26 +390,22 @@ class RankAccumulator:
         keep = np.ones(self._free.size, dtype=bool)
         keep[cols] = False
         kept = np.flatnonzero(keep)
-        N = rows[:, kept]
-        r = self._E.shape[0]
-        shape = (r + len(cols), kept.size)
-        if self._spare is None or shape[0] * shape[1] > self._spare.size:
-            # Twice the need, within ncols**2 / 4: r + F = ncols bounds r * F.
-            size = min(2 * shape[0] * shape[1], self.ncols * self.ncols // 4)
-            self._store, self._spare, self._work = np.empty((3, size))
-        E = _view(self._spare, shape)
-        E[r:] = N
-        if r:
-            # mode="clip" writes into out directly; "raise" would buffer.
-            np.take(self._E, kept, axis=1, out=E[:r], mode="clip")
-            # E[:, cols] @ N with N split into limbs: the limb weights go
-            # onto the thin factor E[:, cols], so the r x F result is
-            # reduced once.  A zero thin factor changes nothing.
-            thin = self._E[:, cols]
-            if thin.any():
-                work = _view(self._work, (r, kept.size))
-                _submul(E[:r], self._weighted(thin), _limbs(N, self._shifts), p, work)
-        self._E = E
+        E = self._E
+        r = E.shape[0]
+        # E -= E[:, cols] @ rows, in place: rows are the identity at cols, so
+        # those columns become 0 mod p and leave, and the kept ones are
+        # reduced.  The limb weights go onto the thin factor E[:, cols], so
+        # the r x F result is reduced once; the product is written to the
+        # spare buffer, also the scratch of its reduction.  A zero thin
+        # factor changes nothing.
+        thin = E[:, cols]
+        if thin.any():
+            _submul(E, self._weighted(thin), _limbs(rows, self._shifts), p, _view(self._spare, E.shape))
+        new = _view(self._spare, (r + len(cols), kept.size))
+        # mode="clip" writes into out directly; "raise" would buffer.
+        np.take(E, kept, axis=1, out=new[:r], mode="clip")
+        new[r:] = rows[:, kept]
+        self._E = new
         self._store, self._spare = self._spare, self._store
         self._piv = np.concatenate([self._piv, self._free[cols]])
         self._free = self._free[kept]

@@ -161,12 +161,17 @@ def panel_rows(point_rank: int, s_max: int) -> int:
 def check_memory_budget(what: str, ncols: int, block_rows: int, profile: int, memory_budget: int) -> None:
     """Refuses a rank computation whose arrays would exceed the budget.
 
-    Counts what runs, in matrix entries: the block of ``block_rows`` rows
-    absorbed at once (``panel_rows`` for a rank profile), the accumulator's
-    three float64 buffers of at most ncols**2 / 4 entries each, and three
-    int64 arrays of ``profile`` entries for a rank profile of that length
-    (0 for a one-shot rank), so a huge s is refused before anything runs.
-    ``what`` names the computation in the error.
+    Counts, in matrix entries: the block of ``block_rows`` rows absorbed
+    at once (``panel_rows`` for a rank profile), three basis buffers of
+    ncols**2 / 4 entries, and three int64 arrays of ``profile`` entries for
+    a rank profile of that length (0 for a one-shot rank), so a huge s is
+    refused before anything runs.  ``what`` names the computation in the
+    error.
+
+    The accumulator allocates two of those buffers, once, and per-panel
+    temporaries, so for large cells the count is above the allocation.  The count is the figure of
+    the error text, which ``verify`` prints among its errors; lowering it
+    changes stdout, so it waits for the schema after ``segre-secant/2``.
     """
     entries = block_rows * ncols + 3 * (ncols * ncols // 4) + 3 * profile
     if entries > memory_budget:

@@ -16,6 +16,7 @@ from segre_secant import (
 )
 from segre_secant.affine import condition_matrix, sample_generic_point
 from segre_secant.numerology import invariants
+from segre_secant.terracini import trial_rng
 
 from oracles import points_off_h1_one_by_one, segre_secant_dim
 
@@ -213,6 +214,25 @@ def test_panel_sampler_matches_point_by_point_oracle(n, m):
             assert rng.rng.integers(0, 2**31, size=4).tolist() == oracle.integers(0, 2**31, size=4).tolist()
             refilled += rng.rows > k
     assert refilled > 100
+
+
+@pytest.mark.parametrize("p, refills", [(5, True), (2**31 - 1, False)])
+def test_panels_with_and_without_draws_on_h1_match_the_oracle(p, refills):
+    # The trial streams of `dim --n 1 --m 1 --a 1 --b 1 --s 2 --prime 5
+    # --cross-check --seed 29` draw points on H1, so their panels are
+    # refilled; at 2**31 - 1 no draw lies on H1 and the panel is returned
+    # as drawn.  Either way the points, and the draw after them, are those
+    # of drawing one point at a time.
+    spec = SegreVeroneseSpec(1, 1, 1, 1)
+    scheme = AffineSchemeSpec(1, 1, 1, 1, 2)
+    refilled = 0
+    for trial in range(3):
+        rng, oracle = _CountingGenerator(trial_rng(spec, 29, trial, p, 1)), trial_rng(spec, 29, trial, p, 1)
+        points = sample_generic_point(scheme, PrimeField(p), rng, 2)
+        assert points.tolist() == points_off_h1_one_by_one(1, 1, p, oracle, 2), trial
+        assert rng.rng.integers(0, 2**31, size=4).tolist() == oracle.integers(0, 2**31, size=4).tolist()
+        refilled += rng.rows > 2
+    assert (refilled > 0) == refills
 
 
 def test_reduction_rejects_too_small_prime():

@@ -1,3 +1,6 @@
+import re
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -24,6 +27,7 @@ from segre_secant.affine import (
     secant_dimension_via_reduction,
 )
 from segre_secant.monomials import exponent_vectors, gradient_rows, split_exponent_array
+from segre_secant.numerology import invariants
 from segre_secant import affine as affine_module, field as field_module, terracini
 from segre_secant.terracini import rank_profile, tangent_block, trial_rng
 
@@ -600,10 +604,12 @@ def test_rank_profile_restores_the_loaded_openblas_count():
 
 
 def test_memory_check_counts_what_a_profile_allocates(monkeypatch):
-    # The budget is the panel, three basis buffers of at most ncols**2 / 4
-    # and three profile arrays; a run at exactly that budget passes and
-    # never absorbs more rows or holds larger buffers than were counted.
-    spec = SegreVeroneseSpec(3, 1, 3, 2)
+    # The budget is the panel, three basis buffers of ncols**2 / 4 and three
+    # profile arrays; a run at exactly that budget passes and never absorbs
+    # more rows than were counted.  The accumulator holds two of the three
+    # buffers, taken once: the same two objects after every absorb, where
+    # growing them as the basis grows would have taken new ones.
+    spec = SegreVeroneseSpec(4, 1, 4, 3)
     ncols, s_max = spec.N + 1, 12
     panel = terracini.panel_rows(spec.dim + 1, s_max)
     need = panel * ncols + 3 * (ncols * ncols // 4) + 3 * s_max
@@ -614,13 +620,45 @@ def test_memory_check_counts_what_a_profile_allocates(monkeypatch):
 
     def recording(acc, block):
         result = original(acc, block)
-        seen.append((len(block), 0 if acc._store is None else acc._store.size))
+        seen.append((len(block), acc, acc._store, acc._spare))
         return result
 
     monkeypatch.setattr(RankAccumulator, "absorb", recording)
     dimension_profile(spec, s_max, trials=1, field=FIELD, memory_budget=need)
-    assert max(rows for rows, _ in seen) <= panel
-    assert max(size for _, size in seen) <= ncols * ncols // 4
+    rows, accs, stores, spares = zip(*seen)
+    assert len(rows) > 1 and len(set(map(id, accs))) == 1
+    assert max(rows) <= panel
+    assert set(map(id, stores + spares)) == {id(stores[0]), id(spares[0])}
+    assert {buffer.size for buffer in stores + spares} == {ncols * ncols // 4}
+
+
+#: Bytes a rank profile may allocate beyond 8 per entry that
+#: ``check_memory_budget`` counts: the per-panel temporaries (limbs,
+#: weighted factors, products), which the count leaves out.
+PROFILE_SLACK_BYTES = 3 * 2**19  # 1.5 MiB
+
+
+@pytest.mark.parametrize(
+    "cell, profile",
+    [((4, 1, 5, 5), dimension_profile), ((4, 1, 5, 5), secant_dimension_via_reduction), ((4, 1, 6, 4), dimension_profile)],
+    ids=["4155-tangent", "4155-affine", "4164-tangent"],
+)
+def test_profile_allocates_within_its_counted_budget(cell, profile):
+    # tracemalloc's peak over one profile up to q* + 1, after a first run
+    # has filled the caches, against the entries the budget check counts.
+    spec = SegreVeroneseSpec(*cell)
+    s_max = invariants(*cell).qstar + 1
+    with pytest.raises(SizingError) as excinfo:
+        profile(spec, s_max, trials=1, memory_budget=0)
+    counted = int(re.search(r"needs (\d+) entries", str(excinfo.value)).group(1))
+    profile(spec, s_max, trials=1)
+    tracemalloc.start()
+    try:
+        profile(spec, s_max, trials=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * counted + PROFILE_SLACK_BYTES, (peak, 8 * counted)
 
 
 def test_memory_check_runs_on_every_path():
