@@ -18,10 +18,10 @@ evaluation row.  Then
 
 an independent second computation path for every secant dimension.  Like
 the tangent path, its Monte-Carlo trials stream panels of double points
-through ``terracini.rank_profile``, each panel's rows in Euler form
-(``monomials.euler_rows``: row i of a point is gamma_i times the value of
-z^gamma, the partial in z_i scaled by z_i) unless a coordinate after z_0 is
-0 mod p, where it gets the exact partials of ``gradient_rows``.  Only
+through ``terracini.rank_profile``, each panel's rows built as the tangent
+path's are (``monomials.euler_panel``, here over the split basis and z_0):
+row i of a point is gamma_i times the value of z^gamma, the partial in z_i
+scaled by z_i, or the partials if a coordinate after z_0 is 0 mod p.  Only
 ``ideal_dimension``, which also serves reduced points, ranks a whole
 condition matrix in one shot, built from ``gradient_rows``.
 
@@ -37,7 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .field import ConditionMatrix, PrimeField, rank, sample_point
-from .monomials import euler_rows, gradient_rows, monomial_values, split_exponent_array
+from .monomials import euler_panel, gradient_rows, split_exponent_array
 from .terracini import (
     DEFAULT_MEMORY_BUDGET,
     SecantReport,
@@ -196,20 +196,8 @@ def secant_dimension_via_reduction(
 def _double_point_panel(spec: SegreVeroneseSpec, p: int):
     """The rows ``secant_dimension_via_reduction`` streams for a panel of points.
 
-    Returns ``rows_at(z)`` for chart points z of shape (k, n+m+1), z_0 = 1:
-    the n+m+1 double-point conditions of each point on the split basis, in
-    Euler form (row i is gamma_i times the value of z^gamma) when every
-    coordinate after z_0 is nonzero mod p, else the partials of
-    ``gradient_rows``.  Euler entries are below (a+b) * p, left for
-    ``absorb`` to reduce.
+    ``monomials.euler_panel`` over the split basis, z_0 the variable that is
+    1: the n+m+1 double-point conditions of each chart point on the split
+    basis, in Euler form or, in a panel with a zero coordinate, the partials.
     """
-    gammas = split_exponent_array(spec)
-    values_at = monomial_values(gammas[:, 1:])
-    weights = np.ascontiguousarray(gammas.T)
-
-    def rows_at(z: np.ndarray) -> np.ndarray:
-        if z[:, 1:].all():
-            return euler_rows(weights, values_at(z[:, 1:], p))
-        return gradient_rows(gammas, z, p)[1].reshape(-1, gammas.shape[0])
-
-    return rows_at
+    return euler_panel(split_exponent_array(spec), 0, p)

@@ -23,13 +23,15 @@ index into a table of coordinate powers once, then evaluates a panel of
 points at a time.  ``gradient_rows`` evaluates first partial derivatives
 through it, as the values of the exponents lowered by one in each variable.
 
-``euler_rows`` is how the rank profiles build their rows.  By the Euler
-identity z_i d(z^gamma)/dz_i = gamma_i z^gamma, the partials at a point
-scaled by its coordinates are a fixed exponent matrix times the one vector
-of monomial values.  Scaling a row by a nonzero constant changes no span, so
-where every such coordinate is nonzero mod p these rows have the rank and
-row rank profile of the partials themselves; a panel with a zero
-coordinate is built from ``gradient_rows`` instead.
+``euler_panel`` builds the rows of both rank profiles from an exponent
+matrix and its variable that is 1 at every point: the split basis and z_0,
+or ``bigraded`` without x_0's column and y_0.  By the Euler identity
+z_i d(z^gamma)/dz_i = gamma_i z^gamma, the partials at a point scaled by
+its coordinates are the exponent matrix times the one vector of monomial
+values.  Scaling a row by a nonzero constant changes no span, so where
+every such coordinate is nonzero mod p these rows have the rank and row
+rank profile of the partials themselves; a panel with a zero coordinate
+gets the partials of ``gradient_rows`` instead.
 """
 
 from __future__ import annotations
@@ -132,15 +134,29 @@ def gradient_rows(exps: np.ndarray, points, p: int) -> tuple[np.ndarray, np.ndar
     return values, partials
 
 
-def euler_rows(weights: np.ndarray, values: np.ndarray) -> np.ndarray:
-    """Rows weights[i] * values[t] for each point t, stacked in point order.
+def euler_panel(exps: np.ndarray, one: int, p: int):
+    """``rows_at(z)``: one row per variable of ``exps`` at each of k points.
 
-    With ``weights`` the exponent matrix of the monomials (one row per
-    variable) and values[t] their values at point t, row i of point t is
-    z_i times the partial in z_i there (the Euler identity).  Entries are
-    below max(weights) * p and are left unreduced.
+    Variable ``one`` is 1 at every point; z[:, 1:] holds the others in
+    order (z[:, 0] is the chart's 1).  If no z[:, 1:] is 0 mod p, row i of
+    a point is exps[:, i] times the values z^exps (Euler form, entries below
+    max(exps) * p, left for ``absorb`` to reduce), else the partials.
     """
-    return (weights[None] * values[:, None, :]).reshape(-1, weights.shape[1])
+    nmon = exps.shape[0]
+    weights = np.ascontiguousarray(exps.T)
+    values_at = monomial_values(np.delete(exps, one, axis=1))
+
+    def rows_at(z: np.ndarray) -> np.ndarray:
+        if z[:, 1:].all():
+            return (weights[None] * values_at(z[:, 1:], p)[:, None, :]).reshape(-1, nmon)
+        return gradient_rows(exps, np.insert(z[:, 1:], one, 1, axis=1), p)[1].reshape(-1, nmon)
+
+    return rows_at
+
+
+def bigraded(alphas: np.ndarray, betas: np.ndarray) -> np.ndarray:
+    """Row i * len(betas) + j is (alphas[i], betas[j]), so descending lex if both factors are."""
+    return np.hstack([np.repeat(alphas, betas.shape[0], axis=0), np.tile(betas, (alphas.shape[0], 1))])
 
 
 def _validate(spec) -> tuple[int, int, int, int]:
@@ -158,11 +174,8 @@ def split_exponent_array(spec) -> np.ndarray:
     the bigraded basis, so the count always equals C(n+a, n) * C(m+b, m).
     """
     n, m, a, b = _validate(spec)
-    alphas = exponent_vectors(a, n + 1)
-    betas = exponent_vectors(b, m + 1)
-    x = np.repeat(alphas, betas.shape[0], axis=0)
-    y = np.tile(betas, (alphas.shape[0], 1))
-    gammas = np.hstack([x[:, :n], x[:, n:] + y[:, :1], y[:, 1:]])
+    pairs = bigraded(exponent_vectors(a, n + 1), exponent_vectors(b, m + 1))
+    gammas = np.hstack([pairs[:, :n], pairs[:, n : n + 1] + pairs[:, n + 1 : n + 2], pairs[:, n + 2 :]])
     return gammas[np.lexsort(-gammas.T[::-1])]
 
 
@@ -187,17 +200,10 @@ def split_to_bigraded(spec) -> np.ndarray:
         b - gammas[:, n + 1 :].sum(axis=1),
         gammas[:, n + 1 :],
     ])
-    alphas = exponent_vectors(a, n + 1)
-    betas = exponent_vectors(b, m + 1)
-    bigraded = np.hstack([
-        np.repeat(alphas, betas.shape[0], axis=0),
-        np.tile(betas, (alphas.shape[0], 1)),
-    ])
-    # Alpha-major order over descending-lex factors is descending lex order
-    # on (alpha, beta), so sorting the images that way must reproduce the
-    # bigraded basis exactly, once each.
+    # ``bigraded`` is in descending lex order, so sorting the images that
+    # way must reproduce it exactly, once each.
     order = np.lexsort(-images.T[::-1])
-    if not np.array_equal(images[order], bigraded):
+    if not np.array_equal(images[order], bigraded(exponent_vectors(a, n + 1), exponent_vectors(b, m + 1))):
         raise AssertionError(
             f"dictionary is not a bijection onto the bigraded basis for ({n}, {m}, {a}, {b})"
         )

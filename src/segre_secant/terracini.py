@@ -11,7 +11,7 @@ The two bigraded Euler relations make one of the n + m + 2 partials per
 point redundant, so each block has rank n + m + 1 at a generic point.
 ``tangent_block`` returns all of them, since it takes any representatives;
 the sampled points have x_0 = 1, where the partial in x_0 is a combination
-of the point's other rows, so ``dimension_profile`` never builds that row.
+of the point's other rows, so ``_tangent_panel`` never builds that row.
 
 Dually, the same evaluations read as linear conditions on coefficient
 vectors cut out the bidegree-(a, b) part of the ideal of s double points:
@@ -29,11 +29,11 @@ panels of consecutive points, builds each panel's rows in one call and
 absorbs them in one ``RankAccumulator.absorb``; the rows of the panel that
 became pivots give the rank after each of its points.  The loop runs with
 OpenBLAS on one thread (``field.one_blas_thread``).  Both paths build a
-panel in Euler form (``monomials.euler_rows``): each partial scaled by its
-coordinate, a fixed exponent matrix times one vector of monomial values,
-which has the rank and row rank profile of the partials wherever those
-coordinates are nonzero; a panel with a zero coordinate gets the exact
-partials instead.
+panel with ``monomials.euler_panel``, each from its exponent matrix and the
+variable that is 1 at every point: each partial scaled by its coordinate,
+the exponent matrix times one vector of monomial values, which has the
+rank and row rank profile of the partials wherever those coordinates are
+nonzero; a panel with a zero coordinate gets the exact partials instead.
 
 N + 1, the n, m, a, b >= 1 check and each report's expected dimension
 and rule come from the closed-form layer (``numerology``).
@@ -56,7 +56,7 @@ from .field import (
     one_blas_thread,
     sample_point,
 )
-from .monomials import euler_rows, exponent_vectors, gradient_rows, monomial_values
+from .monomials import bigraded, euler_panel, exponent_vectors, gradient_rows
 from .numerology import _ambient, classify, expected_dimension
 
 #: Largest number of matrix entries a single dimension query may allocate.
@@ -201,27 +201,10 @@ def tangent_block(alphas: np.ndarray, betas: np.ndarray, x: np.ndarray, y: np.nd
     (k, m+1) arrays of k points whose blocks are stacked in point order.
     Row order within a block: the n+1 partials in the x variables, then
     the m+1 partials in the y variables.  Columns are alpha-major over
-    (alphas, betas).
+    (alphas, betas), the rows of ``monomials.bigraded``.
     """
-    return _tangent_rows(alphas, betas, x, y, p, 0)
-
-
-def _tangent_rows(
-    alphas: np.ndarray, betas: np.ndarray, x: np.ndarray, y: np.ndarray, p: int, first_x: int
-) -> np.ndarray:
-    """``tangent_block`` without the partials in x_0, ..., x_(first_x - 1).
-
-    Only the rows kept are built.  With first_x = 1 and x_0 = 1 the rows
-    dropped add nothing to the span: the bigraded Euler relation
-    b * sum_i x_i d/dx_i = a * sum_j y_j d/dy_j gives the partial in x_0 as
-    b^-1 (a * sum_j y_j d/dy_j - b * sum_(i >= 1) x_i d/dx_i), and p > b.
-    """
-    vx, dx = gradient_rows(alphas, np.atleast_2d(x), p)
-    vy, dy = gradient_rows(betas, np.atleast_2d(y), p)
-    rows = np.concatenate(
-        [dx[:, first_x:, :, None] * vy[:, None, None, :], vx[:, None, :, None] * dy[:, :, None, :]], axis=1
-    )
-    return (rows % p).reshape(-1, alphas.shape[0] * betas.shape[0])
+    exps = bigraded(alphas, betas)
+    return gradient_rows(exps, np.hstack([x, y]), p)[1].reshape(-1, exps.shape[0])
 
 
 def _validated_points(spec: SegreVeroneseSpec, points) -> list[tuple[np.ndarray, np.ndarray]]:
@@ -282,7 +265,7 @@ def rank_profile(
     The rank after a point depends only on the span of its rows, so a
     caller leaves out any row that lies in the span of the point's others:
     the tangent path streams n + m + 1 rows per point, not the n + m + 2
-    of ``tangent_block`` (see ``_tangent_rows``).  Random
+    of ``tangent_block`` (see ``_tangent_panel``).  Random
     evaluation can only underestimate a rank, so the loop stops early
     without changing the result: a trial draws no further point once its
     rank is ncols, and no further trial runs once the running max equals
@@ -367,32 +350,14 @@ def dimension_profile(
 def _tangent_panel(spec: SegreVeroneseSpec, p: int):
     """The rows ``dimension_profile`` streams for a panel of chart points.
 
-    Returns ``rows_at(z)`` for z of shape (k, n+m+1), row i being 1, then
-    point i's x then y coordinates after their leading 1s.  Each point gets
-    the rows of ``_tangent_rows`` with first_x = 1, the partials in x_1..x_n
-    then y_0..y_m, in Euler form: row x_i is alpha_i times the value of
-    x^alpha y^beta, row y_j is beta_j times it, the partials scaled by
-    x_i and y_j (y_0 = 1).  Those scalings are nonzero unless a coordinate
-    after the leading 1s is 0 mod p; such a panel gets ``_tangent_rows``
-    itself.  Entries are below max(a, b) * p, left for ``absorb`` to reduce.
+    ``monomials.euler_panel`` over the bigraded basis without x_0's column,
+    y_0 = 1, at z rows (1, x_1..x_n, y_1..y_m): the partials in x_1..x_n,
+    y_0..y_m.  The partial in x_0 is never built: at x_0 = 1 the bigraded
+    Euler relation b * sum_i x_i d/dx_i = a * sum_j y_j d/dy_j gives it as
+    b^-1 (a * sum_j y_j d/dy_j - b * sum_(i >= 1) x_i d/dx_i), and p > b.
     """
-    n = spec.n
-    alphas = exponent_vectors(spec.a, n + 1)
-    betas = exponent_vectors(spec.b, spec.m + 1)
-    x_values = monomial_values(alphas[:, 1:])
-    y_values = monomial_values(betas[:, 1:])
-    weights = np.vstack([np.repeat(alphas[:, 1:].T, betas.shape[0], axis=1), np.tile(betas.T, alphas.shape[0])])
-
-    def rows_at(z: np.ndarray) -> np.ndarray:
-        if z[:, 1:].all():
-            values = x_values(z[:, 1 : n + 1], p)[:, :, None] * y_values(z[:, n + 1 :], p)[:, None, :] % p
-            return euler_rows(weights, values.reshape(z.shape[0], -1))
-        # y's leading 1 overwrites a copy of x's last coordinate.
-        y = z[:, n:].copy()
-        y[:, 0] = 1
-        return _tangent_rows(alphas, betas, z[:, : n + 1], y, p, 1)
-
-    return rows_at
+    alphas, betas = exponent_vectors(spec.a, spec.n + 1), exponent_vectors(spec.b, spec.m + 1)
+    return euler_panel(bigraded(alphas, betas)[:, 1:], spec.n, p)
 
 
 def secant_dimension(

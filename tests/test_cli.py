@@ -25,7 +25,8 @@ from segre_secant import (
     expected_dimension,
     invariants,
 )
-from segre_secant import field as field_module
+from segre_secant import affine, terracini, field as field_module
+from segre_secant.monomials import euler_panel
 from segre_secant.cli import CSV_COLUMNS, EXIT_DISCREPANCY, EXIT_OK, EXIT_USAGE, main
 from segre_secant.numerology import ClassificationVerdict
 
@@ -671,6 +672,12 @@ PINNED_STDOUT = {
     ("dim", "--n", "2", "--m", "1", "--a", "3", "--b", "1", "--s", "5", "--cross-check", "--trials", "1",
      "--prime", "67"):
         "31d2e77680f71dac47060a10415585e077ff866ef41d0cc659cad18c71a459de",
+    # The same at m = 2, where the tangent fallback's inserted y_0 = 1 sits
+    # before two y coordinates: computed_dim 14 on both paths, 13 if the
+    # Euler rows were kept there.
+    ("dim", "--n", "2", "--m", "2", "--a", "2", "--b", "2", "--s", "3", "--cross-check", "--trials", "1",
+     "--prime", "53", "--seed", "7"):
+        "73e100ed2f12674d1a1bd1966b57af17ac24e8b1ddb0db490c74a9d05b64fa3a",
 }
 
 
@@ -679,6 +686,33 @@ def test_stdout_matches_pinned_digests(capsys):
         code, out, _ = run(capsys, list(argv))
         assert code == EXIT_OK, argv
         assert hashlib.sha256(out.encode()).hexdigest() == digest, argv
+
+
+@pytest.mark.parametrize("argv", [argv for argv in PINNED_STDOUT if "--prime" in argv])
+def test_small_prime_pins_take_the_exact_partials_on_both_paths(capsys, monkeypatch, argv):
+    # Each small-prime pin streams at least one panel with a zero
+    # coordinate on the tangent path and on the affine path, so its digest
+    # covers euler_panel's exact-partials fallback on both.
+    zero_panels = {}
+
+    def counting(path):
+        def panel(exps, one, p):
+            rows_at = euler_panel(exps, one, p)
+
+            def counted(z):
+                zero_panels[path] = zero_panels.get(path, 0) + int(not z[:, 1:].all())
+                return rows_at(z)
+
+            return counted
+
+        return panel
+
+    monkeypatch.setattr(terracini, "euler_panel", counting("tangent"))
+    monkeypatch.setattr(affine, "euler_panel", counting("affine"))
+    code, out, _ = run(capsys, list(argv))
+    assert code == EXIT_OK
+    assert hashlib.sha256(out.encode()).hexdigest() == PINNED_STDOUT[argv]
+    assert zero_panels["tangent"] >= 1 and zero_panels["affine"] >= 1, zero_panels
 
 
 def test_dim_prime_too_small_exits_one(capsys):

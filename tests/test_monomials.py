@@ -12,7 +12,7 @@ from segre_secant import (
     exponent_vectors,
     split_to_bigraded,
 )
-from segre_secant.monomials import gradient_rows, split_exponent_array
+from segre_secant.monomials import euler_panel, gradient_rows, split_exponent_array
 from segre_secant.terracini import tangent_block
 
 from oracles import (
@@ -243,3 +243,30 @@ def test_tangent_block_of_a_panel_stacks_point_blocks(n, m, a, b, k, data, p):
     panel = tangent_block(alphas, betas, xs, ys, p)
     blocks = [tangent_block(alphas, betas, x, y, p) for x, y in zip(xs, ys)]
     assert np.array_equal(panel, np.vstack(blocks))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(2, 5), st.integers(1, 4), st.data(), st.sampled_from([7, DEFAULT_PRIME]))
+def test_euler_panel_with_the_constant_variable_anywhere(nvars, d, data, p):
+    # All monomials of degree at most d in nvars variables, with the one
+    # that is 1 at every point at each position (the rank profiles use only
+    # 0 and n).  A panel without zeros gets each partial scaled by its
+    # coordinate; a panel with a zero gets gradient_rows' partials.
+    exps = exponent_vectors(d, nvars + 1)[:, 1:]
+    one = data.draw(st.integers(0, nvars - 1))
+    k = data.draw(st.integers(1, 3))
+    coord = st.integers(0 if data.draw(st.booleans()) else 1, p - 1)
+    rest = data.draw(st.lists(st.lists(coord, min_size=nvars - 1, max_size=nvars - 1), min_size=k, max_size=k))
+    z = np.hstack([np.ones((k, 1), dtype=np.int64), np.array(rest, dtype=np.int64).reshape(k, nvars - 1)])
+    points = np.insert(z[:, 1:], one, 1, axis=1)
+    rows = euler_panel(exps, one, p)(z)
+    assert rows.shape == (k * nvars, exps.shape[0])
+    if z.all():
+        scaled = [
+            [integer_partial(e, point, var) * point[var] % p for e in exps.tolist()]
+            for point in points.tolist()
+            for var in range(nvars)
+        ]
+        assert (rows % p).tolist() == scaled
+    else:
+        assert np.array_equal(rows, gradient_rows(exps, points, p)[1].reshape(-1, exps.shape[0]))

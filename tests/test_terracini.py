@@ -26,7 +26,7 @@ from segre_secant.affine import (
     sample_generic_point,
     secant_dimension_via_reduction,
 )
-from segre_secant.monomials import exponent_vectors, gradient_rows, split_exponent_array
+from segre_secant.monomials import bigraded, exponent_vectors, gradient_rows, split_exponent_array
 from segre_secant.numerology import invariants
 from segre_secant import affine as affine_module, field as field_module, terracini
 from segre_secant.terracini import rank_profile, tangent_block, trial_rng
@@ -34,6 +34,12 @@ from segre_secant.terracini import rank_profile, tangent_block, trial_rng
 from oracles import chart_point, full_rank_profile, integer_tangent_matrix, rational_rank, segre_secant_dim
 
 FIELD = PrimeField(DEFAULT_PRIME)
+
+
+def _rows_after_x0(alphas, betas, xs, ys, p):
+    """``tangent_block``'s rows at each point (xs[i], ys[i]) without the partial in x_0."""
+    block = tangent_block(alphas, betas, xs, ys, p)
+    return block.reshape(len(xs), -1, block.shape[1])[:, 1:].reshape(-1, block.shape[1])
 
 
 def _points(spec, s, seed=0, field=FIELD):
@@ -337,8 +343,10 @@ def test_x0_partial_is_the_euler_combination_at_chart_points(cell, k, which, dat
     # At x_0 = y_0 = 1 the bigraded Euler relation
     # b * sum_i x_i d/dx_i = a * sum_j y_j d/dy_j gives the partial in x_0
     # as b^-1 (a * sum_j y_j d/dy_j - b * sum_(i >= 1) x_i d/dx_i) mod p,
-    # for the primes just above a + b as for 2**31 - 1.  The rows
-    # dimension_profile streams are the others, in tangent_block's order.
+    # for the primes just above a + b as for 2**31 - 1.  The others, in
+    # tangent_block's order, are the partials of the bigraded basis without
+    # x_0's column at (x_1..x_n, y_0..y_m): the identity the tangent
+    # panel's exact-partials fallback rests on.
     n, m, a, b = cell
     small = _prime_above(a + b)
     p = (small, _prime_above(small), DEFAULT_PRIME)[which]
@@ -354,7 +362,8 @@ def test_x0_partial_is_the_euler_combination_at_chart_points(cell, k, which, dat
         combination = a * sum(yj * row for yj, row in zip(y, dy)) - b * sum(xi * row for xi, row in zip(x[1:], dx[1:]))
         assert (pow(b, -1, p) * combination % p).tolist() == dx[0].tolist()
     others = block.reshape(k, n + m + 2, -1)[:, 1:].reshape(k * (n + m + 1), -1)
-    assert np.array_equal(terracini._tangent_rows(alphas, betas, xs, ys, p, 1), others)
+    partials = gradient_rows(bigraded(alphas, betas)[:, 1:], np.hstack([xs[:, 1:], ys]), p)[1]
+    assert np.array_equal(partials.reshape(k * (n + m + 1), -1), others)
 
 
 class _CountingRng:
@@ -443,7 +452,7 @@ def test_tangent_panels_are_drawn_at_sample_point_points(monkeypatch):
     assert np.array_equal(ys, np.array([y for _, y in expected]))
     alphas, betas = exponent_vectors(spec.a, n + 1), exponent_vectors(spec.b, spec.m + 1)
     scale = np.hstack([xs[:, 1:], ys]).reshape(-1, 1)
-    exact = terracini._tangent_rows(alphas, betas, xs, ys, p, 1)
+    exact = _rows_after_x0(alphas, betas, xs, ys, p)
     assert np.array_equal(np.vstack(blocks) % p, exact * scale % p)
 
 
@@ -455,7 +464,7 @@ def _exact_panels(spec, p):
 
     def tangent(z):
         ys = np.hstack([np.ones((z.shape[0], 1), dtype=np.int64), z[:, n + 1 :]])
-        return terracini._tangent_rows(alphas, betas, z[:, : n + 1], ys, p, 1)
+        return _rows_after_x0(alphas, betas, z[:, : n + 1], ys, p)
 
     def affine(z):
         return gradient_rows(gammas, z, p)[1].reshape(-1, gammas.shape[0])
