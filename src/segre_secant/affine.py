@@ -117,15 +117,13 @@ def condition_matrix(
     scheme: AffineSchemeSpec,
     double_points,
     simple_points=(),
-    field: PrimeField | None = None,
+    field: PrimeField = PrimeField(),
 ) -> ConditionMatrix:
     """Vanishing conditions on split-basis coefficient vectors.
 
     n+m+1 derivative rows per double point, then one evaluation row per
     reduced point; columns follow ``split_exponent_array`` order.
     """
-    if field is None:
-        field = PrimeField()
     gammas = split_exponent_array(scheme.embedding)
     nvars = scheme.n + scheme.m + 1
     blocks = [np.zeros((0, gammas.shape[0]), dtype=np.int64)]
@@ -142,7 +140,7 @@ def condition_matrix(
 
 def ideal_dimension(
     scheme: AffineSchemeSpec,
-    field: PrimeField | None = None,
+    field: PrimeField = PrimeField(),
     seed: int = 0,
     memory_budget: int = DEFAULT_MEMORY_BUDGET,
 ) -> int:
@@ -151,8 +149,6 @@ def ideal_dimension(
     With s = 0 and no reduced points this is exactly
     C(n+a, n) * C(m+b, m), no randomness involved.
     """
-    if field is None:
-        field = PrimeField()
     ncols = scheme.embedding.N + 1
     rows = scheme.s * (scheme.n + scheme.m + 1) + scheme.simple_points
     check_memory_budget(f"condition matrix for {scheme}", ncols, rows, 0, memory_budget)
@@ -166,7 +162,7 @@ def secant_dimension_via_reduction(
     spec: SegreVeroneseSpec,
     s: int,
     trials: int = 3,
-    field: PrimeField | None = None,
+    field: PrimeField = PrimeField(),
     seed: int = 0,
     memory_budget: int = DEFAULT_MEMORY_BUDGET,
 ) -> SecantReport:
@@ -179,11 +175,11 @@ def secant_dimension_via_reduction(
     the partials.  Random evaluation can only overestimate
     the ideal dimension, so its minimum over trials (the max rank) is the
     right aggregator, and N - (|split basis| - rank) = rank - 1.
+    The size checks run first, so an s or a budget is refused as on the
+    tangent path.
     """
-    if field is None:
-        field = PrimeField()
+    check_profile_size(f"affine rank profile for {spec} with s={s}", spec, s, field.p, memory_budget)
     scheme = AffineSchemeSpec(spec.n, spec.m, spec.a, spec.b, s)
-    check_profile_size(f"affine rank profile for {scheme}", spec, s, field.p, memory_budget)
     rows_at = _double_point_panel(spec, field.p)
     ranks = rank_profile(
         spec.N + 1, spec.dim + 1, field, s, trials,

@@ -33,7 +33,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .affine import GenericityError, secant_dimension_via_reduction
-from .field import DEFAULT_PRIME, SECOND_PRIME, PrimeField, SizingError, one_blas_thread
+from .field import DEFAULT_PRIME, SECOND_PRIME, PrimeField, one_blas_thread
 from .grassmann import CorollaryCell, check_corollary
 from .induction import ReplayCell, replay_main_theorem
 from .numerology import (
@@ -88,11 +88,11 @@ class SweepConfig:
         if not (self.n_range and self.m_range and self.a_range and self.b_range):
             raise ValueError("all grid ranges must be nonempty")
         if self.trials < 1:
-            raise ValueError("trials must be >= 1")
+            raise ValueError(f"trials must be >= 1, got {self.trials}")
         if self.jobs < 1:
             raise ValueError(f"--jobs must be >= 1, got {self.jobs}")
         if not self.primes:
-            raise ValueError("need at least one prime")
+            raise ValueError("--primes must name at least one prime")
         _refuse_repeats("--primes", self.primes)
         if self.s_policy not in ("uptoqstar", "list"):
             raise ValueError(f"s_policy must be 'uptoqstar' or 'list', got {self.s_policy!r}")
@@ -241,7 +241,7 @@ def _verify_cell(config: SweepConfig, cell) -> tuple[list[dict], str | None]:
             )
             rows.append(dict(report._asdict(), classify_dim=verdict.dim, agree=computed == verdict.dim))
         return rows, None
-    except (ValueError, SizingError, GenericityError) as exc:
+    except (ValueError, GenericityError) as exc:
         return [], str(exc)
 
 
@@ -317,8 +317,6 @@ def run_verify(config: SweepConfig) -> tuple[dict, list[dict], int]:
 def cmd_verify(args) -> int:
     s_list = _parse_int_list(args.s_list, "--s-list") if args.s_list is not None else ()
     primes = _parse_int_list(args.primes, "--primes")
-    if not primes:
-        raise ValueError("--primes must name at least one prime")
     # The cells are counted from the bounds, so a huge bound is refused
     # before any range is built; an empty axis empties the grid, which
     # SweepConfig refuses, and no other axis is built then.
@@ -544,7 +542,7 @@ def main(argv=None) -> int:
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         print("segre-secant: error: stdout was closed before all output was written", file=sys.stderr)
         return EXIT_USAGE
-    except (ValueError, SizingError, GenericityError) as exc:
+    except (ValueError, GenericityError) as exc:
         print(f"segre-secant: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -29,9 +29,10 @@ dimension min(N, s(n+2) - 1) except for:
     s = (d+1)(n+1), consistent with the defect-1 statements known for
     n <= 2, and it is the reading confirmed by the Monte-Carlo ranks.
 
-This module imports only the standard library: the engine reads N + 1, the
-n, m, a, b >= 1 check and the expected dimension from here, and only
-computed_e and computed_estar reach the engine, importing it when they run.
+This module imports only the standard library: the engine reads N + 1,
+the n, m, a, b >= 1 and s >= 1 checks and the expected dimension from
+here, and only computed_e and computed_estar reach the engine, importing
+it when they run.
 """
 
 from __future__ import annotations
@@ -65,7 +66,7 @@ MAX_SWEEP_CELLS = 20_000
 
 
 class ScanBudgetError(RuntimeError):
-    """An e/e* scan ran out of its s budget before finding the threshold."""
+    """An e* scan ended before the measured dimension reached N."""
 
 
 def check_sweep_size(sweep: str, cell_counts) -> None:
@@ -235,26 +236,13 @@ def closed_form_estar(n: int, a: int, b: int) -> int:
     return _estar_from(n, a, b, invariants(n, 1, a, b).qstar)
 
 
-def computed_e(
-    spec: SegreVeroneseSpec,
-    budget: int | None = None,
-    trials: int = 3,
-    field=None,
-    seed: int = 0,
-) -> int:
+def computed_e(spec: SegreVeroneseSpec, trials: int = 3, seed: int = 0) -> int:
     """Monte-Carlo counterpart of e, scanned on a nested point stream.
 
-    dim sigma_s = s(n+m+1) - 1 forces s <= q, so a scan up to
-    min(budget, q* + n + m + 1) determines e exactly; the budget exists to
-    bound work for specs with no closed form.
+    dim sigma_s = s(n+m+1) - 1 forces s <= q, so the scan up to
+    q* + n + m + 1 >= q determines e exactly.
     """
-    dims = _scan_dims(spec, budget, trials, field, seed)
-    num = invariants(spec.n, spec.m, spec.a, spec.b)
-    if len(dims) < num.q:
-        raise ScanBudgetError(
-            f"scan budget {len(dims)} stops below q = {num.q} for {spec}; "
-            "the maximum cannot be certified"
-        )
+    dims = _scan_dims(spec, trials, seed)
     step = spec.dim + 1
     best = 0
     for s in range(1, len(dims) + 1):
@@ -263,35 +251,26 @@ def computed_e(
     return best
 
 
-def computed_estar(
-    spec: SegreVeroneseSpec,
-    budget: int | None = None,
-    trials: int = 3,
-    field=None,
-    seed: int = 0,
-) -> int:
-    """Monte-Carlo counterpart of e*: first s whose measured dimension is N."""
-    dims = _scan_dims(spec, budget, trials, field, seed)
+def computed_estar(spec: SegreVeroneseSpec, trials: int = 3, seed: int = 0) -> int:
+    """Monte-Carlo counterpart of e*: first s whose measured dimension is N.
+
+    Raises ``ScanBudgetError`` if no s of the scan up to q* + n + m + 1
+    reaches N.
+    """
+    dims = _scan_dims(spec, trials, seed)
     for s in range(1, len(dims) + 1):
         if dims[s - 1] == spec.N:
             return s
-    raise ScanBudgetError(
-        f"sigma_s of {spec} did not fill P^{spec.N} within the scan budget ({len(dims)})"
-    )
+    raise ScanBudgetError(f"sigma_s of {spec} did not fill P^{spec.N} by s = {len(dims)}")
 
 
 @lru_cache(maxsize=8)
-def _scan_dims(spec: SegreVeroneseSpec, budget, trials, field, seed):
-    """The one profile behind computed_e and computed_estar (read-only, cached)."""
+def _scan_dims(spec: SegreVeroneseSpec, trials, seed):
+    """dim sigma_s for s = 1..q* + n + m + 1, read by computed_e and computed_estar (cached)."""
     # Read from terracini at each call; the closed-form layer loads no numpy.
     from .terracini import dimension_profile
 
-    num = invariants(spec.n, spec.m, spec.a, spec.b)
-    s_max = num.qstar + spec.dim + 1
-    if budget is not None:
-        if budget < 1:
-            raise ValueError(f"budget must be >= 1, got {budget}")
-        s_max = min(s_max, budget)
-    dims = dimension_profile(spec, s_max, trials=trials, field=field, seed=seed)
+    s_max = invariants(spec.n, spec.m, spec.a, spec.b).qstar + spec.dim + 1
+    dims = dimension_profile(spec, s_max, trials=trials, seed=seed)
     dims.setflags(write=False)
     return dims

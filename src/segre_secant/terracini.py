@@ -35,8 +35,8 @@ the exponent matrix times one vector of monomial values, which has the
 rank and row rank profile of the partials wherever those coordinates are
 nonzero; a panel with a zero coordinate gets the exact partials instead.
 
-N + 1, the n, m, a, b >= 1 check and each report's expected dimension
-and rule come from the closed-form layer (``numerology``).
+N + 1, the n, m, a, b >= 1 and s >= 1 checks and each report's expected
+dimension and rule come from the closed-form layer (``numerology``).
 """
 
 from __future__ import annotations
@@ -47,7 +47,6 @@ from typing import NamedTuple
 import numpy as np
 
 from .field import (
-    DEFAULT_PRIME,
     PANEL_ROWS,
     ConditionMatrix,
     PrimeField,
@@ -183,10 +182,12 @@ def check_prime_bound(spec: SegreVeroneseSpec, s: int, p: int) -> None:
 
     Tangent and affine condition entries are forms of degree a + b - 1 in
     the point coordinates, so a minor of generic rank size has degree at
-    most min(N+1, s(n+m+1)) * (a+b-1), and by Schwartz-Zippel one trial
-    misses the generic rank with probability at most that over p.
+    most (expected_dimension + 1) * (a+b-1), and by Schwartz-Zippel one
+    trial misses the generic rank with probability at most that over p.
+    ``expected_dimension`` refuses an s below 1, so every rank profile,
+    whose first check this is, gives the one text for it.
     """
-    bound = min(spec.N + 1, s * (spec.dim + 1)) * (spec.a + spec.b - 1)
+    bound = (expected_dimension(spec.n, spec.m, spec.a, spec.b, s) + 1) * (spec.a + spec.b - 1)
     if bound >= p:
         raise ValueError(
             f"prime {p} is too small for {spec} with s={s}: the Schwartz-Zippel "
@@ -279,11 +280,9 @@ def rank_profile(
 
     The two callers, ``dimension_profile`` and
     ``affine.secant_dimension_via_reduction``, size the run with
-    ``check_profile_size`` before they build anything.  An s_max below 1
-    is refused as ``s must be >= 1``, the text every path gives for an s.
+    ``check_profile_size`` before they build anything, which refuses an
+    s_max below 1.
     """
-    if s_max < 1:
-        raise ValueError(f"s must be >= 1, got {s_max}")
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     panel_points = panel_rows(point_rank, s_max) // point_rank
@@ -324,7 +323,7 @@ def dimension_profile(
     spec: SegreVeroneseSpec,
     s_max: int,
     trials: int = 3,
-    field: PrimeField | None = None,
+    field: PrimeField = PrimeField(),
     seed: int = 0,
     memory_budget: int = DEFAULT_MEMORY_BUDGET,
 ) -> np.ndarray:
@@ -335,8 +334,6 @@ def dimension_profile(
     other than the partial in x_0, which at x_0 = 1 lies in their span,
     built by ``_tangent_panel``.
     """
-    if field is None:
-        field = PrimeField(DEFAULT_PRIME)
     check_profile_size(f"tangent rank profile for {spec} with s={s_max}", spec, s_max, field.p, memory_budget)
     rows_at = _tangent_panel(spec, field.p)
     ranks = rank_profile(
@@ -364,14 +361,10 @@ def secant_dimension(
     spec: SegreVeroneseSpec,
     s: int,
     trials: int = 3,
-    field: PrimeField | None = None,
+    field: PrimeField = PrimeField(),
     seed: int = 0,
     memory_budget: int = DEFAULT_MEMORY_BUDGET,
 ) -> SecantReport:
     """Monte-Carlo dimension of sigma_s, max over trials of fresh point sets."""
-    if s < 1:
-        raise ValueError(f"s must be >= 1, got {s}")
-    if field is None:
-        field = PrimeField(DEFAULT_PRIME)
     dims = dimension_profile(spec, s, trials=trials, field=field, seed=seed, memory_budget=memory_budget)
     return SecantReport.measured(spec, s, int(dims[s - 1]), field.p, seed, trials, "terracini")

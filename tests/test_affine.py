@@ -8,6 +8,7 @@ from segre_secant import (
     GenericityError,
     PrimeField,
     SegreVeroneseSpec,
+    SizingError,
     dimension_profile,
     ideal_dimension,
     rank,
@@ -246,13 +247,29 @@ def test_reduction_rejects_too_small_prime():
 
 def test_reduction_rejects_zero_trials_and_s():
     # The shared rank-profile checks, with the one text both paths give;
-    # without them no trial ran and -1 came back.
+    # without them no trial ran and -1 came back.  A negative s reaches the
+    # same check on the affine path, not its scheme's s >= 0 check.
     spec = SegreVeroneseSpec(2, 1, 2, 2)
     with pytest.raises(ValueError, match="^trials must be >= 1, got 0$"):
         secant_dimension_via_reduction(spec, 3, trials=0)
-    for profile in (secant_dimension_via_reduction, dimension_profile):
-        with pytest.raises(ValueError, match="^s must be >= 1, got 0$"):
-            profile(spec, 0)
+    for profile in (secant_dimension_via_reduction, dimension_profile, secant_dimension):
+        for s in (0, -1):
+            with pytest.raises(ValueError, match=f"^s must be >= 1, got {s}$"):
+                profile(spec, s)
+
+
+def test_budget_refusal_reads_the_same_on_both_paths():
+    # Both profiles count the same entries for one spec and s, and name the
+    # profile alike apart from its path.
+    spec = SegreVeroneseSpec(2, 1, 3, 2)
+    texts = []
+    for profile in (dimension_profile, secant_dimension_via_reduction):
+        with pytest.raises(SizingError) as excinfo:
+            profile(spec, 4, memory_budget=100)
+        texts.append(str(excinfo.value))
+    tangent, affine = texts
+    assert tangent.startswith("tangent rank profile for SegreVeroneseSpec(n=2, m=1, a=3, b=2) with s=4 needs ")
+    assert affine == "affine" + tangent.removeprefix("tangent")
 
 
 def test_reduction_matches_determinantal_closed_form():

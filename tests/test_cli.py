@@ -370,6 +370,16 @@ def test_expected_dimensions_match_expected_dimension():
         cli._expected_dimensions(1, 1, 1, 1, 0)
 
 
+def test_verify_refuses_zero_trials_as_dim_does(capsys):
+    # SweepConfig gives the engine's text, so both commands print one line.
+    code, out, err = run(capsys, ["verify", "--trials", "0", "--n-max", "1", "--a-max", "1", "--b-max", "1"])
+    assert (code, out) == (EXIT_USAGE, "")
+    assert err == "segre-secant: error: trials must be >= 1, got 0\n"
+    assert run(capsys, ["dim", "--n", "1", "--m", "1", "--a", "1", "--b", "1", "--s", "1", "--trials", "0"]) == (
+        EXIT_USAGE, "", err
+    )
+
+
 @pytest.mark.parametrize("jobs", ["0", "-3"])
 def test_verify_refuses_jobs_below_one(capsys, jobs):
     code, out, err = run(capsys, ["verify", "--n-max", "1", "--a-max", "1", "--b-max", "1", "--jobs", jobs])

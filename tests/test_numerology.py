@@ -1,6 +1,7 @@
 import itertools
 from math import comb
 
+import numpy as np
 import pytest
 
 from segre_secant import numerology, terracini
@@ -200,14 +201,21 @@ def test_computed_e_and_estar_share_one_scan(monkeypatch):
     assert len(calls) == 1
 
 
-def test_scan_budget_errors():
+def test_scan_budget_errors(monkeypatch):
+    # A profile that stops one short of N at every s of the scan: e* is not
+    # found, and computed_estar says so instead of returning a guess.
     spec = SegreVeroneseSpec(2, 1, 3, 1)
-    with pytest.raises(ScanBudgetError):
-        computed_e(spec, budget=3)  # q = 5 cannot be certified from 3 samples
-    with pytest.raises(ScanBudgetError):
-        computed_estar(spec, budget=3)  # filling happens at s = 6
-    with pytest.raises(ValueError):
-        computed_e(spec, budget=0)
+
+    def short_of_n(spec, s_max, **kwargs):
+        return np.minimum(np.arange(1, s_max + 1) * (spec.dim + 1), spec.N) - 1
+
+    monkeypatch.setattr(terracini, "dimension_profile", short_of_n)
+    numerology._scan_dims.cache_clear()
+    try:
+        with pytest.raises(ScanBudgetError, match=r"^sigma_s of .* did not fill P\^19 by s = 9$"):
+            computed_estar(spec)
+    finally:
+        numerology._scan_dims.cache_clear()
 
 
 _SPEC_BELOW_ONE = "n, m, a, b must all be >= 1, got "
